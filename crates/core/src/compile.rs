@@ -9,6 +9,31 @@
 //! a chunk summarization is one fused loop with no `Value` allocation
 //! on the hot path.
 //!
+//! Every closure call costs a few nanoseconds, so the lowering fuses
+//! the common shapes into superinstructions (counted on the
+//! `compile_plan` trace event):
+//!
+//! * **Leaf operands.** Registers and folded constants are never
+//!   closures: the operator, load, condition or loop bound that consumes
+//!   one reads `ctx.regs` (or the immediate) directly. Each operator is
+//!   its own monomorphized closure, with no operator `match` at run
+//!   time, and an assignment `x = a ⊕ b` stores its result itself.
+//! * **Register- and constant-indexed loads.** `a[i][j]` and `len(a[i])`
+//!   walk the offset tables with the indices read straight from
+//!   registers, each level bounds-checked with the interpreter's
+//!   `index … out of bounds (len …)` error.
+//! * **Row loops.** `for v in 0 .. len(a[..])` over one row of scalars,
+//!   whose row is not indexed by `v` and whose body assigns neither `v`
+//!   nor the row's index variables, computes the row's span once (with
+//!   `len`'s errors). A body made of accumulations `acc = acc ⊕ a[..][v]`
+//!   (⊕ ∈ `+`, `max`, `min`, one statement per accumulator) becomes one
+//!   slice fold per accumulator; any other body runs per element, its
+//!   `a[..][v]` loads reading the cached span. `v` ends at the value the
+//!   per-element loop leaves.
+//!
+//! Shapes that match no form lower to generic closures with the same
+//! semantics.
+//!
 //! The compiler is deliberately partial: it covers the scalar-state
 //! plan shapes the Figure-9 suite produces (single `seq<int>^{1..3}`
 //! input, constant state initializers, no array-shaped state) and
@@ -199,10 +224,82 @@ impl Ctx<'_> {
     fn fail_oob(&mut self, idx: i64, len: usize) -> i64 {
         self.fail(format!("index {idx} out of bounds (len {len})"))
     }
+
+    /// The span `(start, len)` of the main input's view `a[c0]..[ck]`:
+    /// outer rows of the chunk window for an empty chain, then one
+    /// offset table per level (`off1`, then `off2`), ending in `data`
+    /// when the chain is one short of the input depth. Records the
+    /// interpreter's out-of-bounds error and returns `None` when an
+    /// index misses.
+    fn span(&mut self, chain: &[Operand]) -> Option<(usize, usize)> {
+        let mut span = (self.base, self.rows);
+        for (level, ix) in chain.iter().enumerate() {
+            let iv = ix.eval(self);
+            let Some(i) = in_bounds(iv, span.1) else {
+                self.fail_oob(iv, span.1);
+                return None;
+            };
+            let at = span.0 + i;
+            let off = if level == 0 {
+                &self.flat.off1
+            } else {
+                &self.flat.off2
+            };
+            span = (off[at], off[at + 1] - off[at]);
+        }
+        Some(span)
+    }
+
+    /// Element `iv` of the data span `(start, len)`, bounds-checked.
+    #[inline]
+    fn pick(&mut self, (start, len): (usize, usize), iv: i64) -> i64 {
+        match in_bounds(iv, len) {
+            Some(i) => self.flat.data[start + i],
+            None => self.fail_oob(iv, len),
+        }
+    }
 }
 
 type IntOp = Box<dyn Fn(&mut Ctx<'_>) -> i64 + Send + Sync>;
 type StmtOp = Box<dyn Fn(&mut Ctx<'_>) + Send + Sync>;
+
+/// A lowered expression. Leaves — registers and folded constants —
+/// stay symbolic, so the operator, load or statement consuming them
+/// reads the register file (or the immediate) directly instead of
+/// calling a closure.
+enum Operand {
+    Reg(usize),
+    Const(i64),
+    /// `a[..][v]` inside a row loop over that row: the loop variable's
+    /// register and the registers caching the row span.
+    Elem {
+        var: usize,
+        start: usize,
+        len: usize,
+    },
+    Op(IntOp),
+}
+
+impl Operand {
+    #[inline(always)]
+    fn eval(&self, ctx: &mut Ctx<'_>) -> i64 {
+        match self {
+            Operand::Reg(r) => ctx.regs[*r],
+            Operand::Const(k) => *k,
+            Operand::Elem { var, start, len } => {
+                let span = (ctx.regs[*start] as usize, ctx.regs[*len] as usize);
+                let iv = ctx.regs[*var];
+                ctx.pick(span, iv)
+            }
+            Operand::Op(op) => op(ctx),
+        }
+    }
+
+    /// Registers and constants: operands that cannot fail.
+    fn is_leaf(&self) -> bool {
+        matches!(self, Operand::Reg(_) | Operand::Const(_))
+    }
+}
 
 fn run_ops(ops: &[StmtOp], ctx: &mut Ctx<'_>) {
     for op in ops {
@@ -213,6 +310,90 @@ fn run_ops(ops: &[StmtOp], ctx: &mut Ctx<'_>) {
 #[inline]
 fn in_bounds(idx: i64, len: usize) -> Option<usize> {
     usize::try_from(idx).ok().filter(|&i| i < len)
+}
+
+/// Where a fused operator's value goes: back to the enclosing
+/// expression ([`Yield`]), or straight into the register an assignment
+/// targets ([`Store`]), which saves the statement a closure call.
+trait Sink: Copy {
+    type Op;
+
+    fn op<F>(self, f: F) -> Self::Op
+    where
+        F: Fn(&mut Ctx<'_>) -> i64 + Send + Sync + 'static;
+}
+
+#[derive(Clone, Copy)]
+struct Yield;
+
+impl Sink for Yield {
+    type Op = IntOp;
+
+    fn op<F>(self, f: F) -> IntOp
+    where
+        F: Fn(&mut Ctx<'_>) -> i64 + Send + Sync + 'static,
+    {
+        Box::new(f)
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Store(usize);
+
+impl Sink for Store {
+    type Op = StmtOp;
+
+    fn op<F>(self, f: F) -> StmtOp
+    where
+        F: Fn(&mut Ctx<'_>) -> i64 + Send + Sync + 'static,
+    {
+        let Store(reg) = self;
+        Box::new(move |ctx| {
+            let v = f(ctx);
+            ctx.regs[reg] = v;
+        })
+    }
+}
+
+/// Fuse a binary operator with its operands into one closure,
+/// monomorphized per operator (`f`); leaf operands are read straight
+/// from the register file. Operands evaluate left to right, like the
+/// interpreter (leaves cannot fail, so reading them first is
+/// unobservable).
+fn fuse2<S: Sink, F>(sink: S, a: Operand, b: Operand, f: F) -> S::Op
+where
+    F: Fn(&mut Ctx<'_>, i64, i64) -> i64 + Send + Sync + 'static,
+{
+    match (a, b) {
+        (Operand::Reg(x), Operand::Reg(y)) => sink.op(move |ctx| {
+            let (p, q) = (ctx.regs[x], ctx.regs[y]);
+            f(ctx, p, q)
+        }),
+        (Operand::Reg(x), Operand::Const(k)) => sink.op(move |ctx| {
+            let p = ctx.regs[x];
+            f(ctx, p, k)
+        }),
+        (Operand::Const(k), Operand::Reg(y)) => sink.op(move |ctx| {
+            let q = ctx.regs[y];
+            f(ctx, k, q)
+        }),
+        (a, b) => sink.op(move |ctx| {
+            let p = a.eval(ctx);
+            let q = b.eval(ctx);
+            f(ctx, p, q)
+        }),
+    }
+}
+
+/// Unary counterpart of [`fuse2`].
+fn fuse1<F>(a: Operand, f: F) -> IntOp
+where
+    F: Fn(i64) -> i64 + Send + Sync + 'static,
+{
+    match a {
+        Operand::Reg(r) => Box::new(move |ctx| f(ctx.regs[r])),
+        a => Box::new(move |ctx| f(a.eval(ctx))),
+    }
 }
 
 /// Constant-fold a closed expression (booleans as 0/1). Division and
@@ -243,9 +424,11 @@ fn const_fold(e: &Expr) -> Option<i64> {
     }
 }
 
-/// Evaluate a binary operator on `i64` operands. `Div`/`Rem` must be
-/// guarded by the caller (zero divisors wrap to the dividend here only
-/// because `wrapping_div` would panic; callers never pass them).
+/// Evaluate a binary operator on `i64` operands (constant folding
+/// only; kernels use the per-operator closures of [`fuse2`]). `Div`/
+/// `Rem` must be guarded by the caller (zero divisors wrap to the
+/// dividend here only because `wrapping_div` would panic; callers never
+/// pass them).
 fn eval_pure_binop(op: BinOp, a: i64, b: i64) -> i64 {
     match op {
         BinOp::Add => a.wrapping_add(b),
@@ -266,21 +449,110 @@ fn eval_pure_binop(op: BinOp, a: i64, b: i64) -> i64 {
     }
 }
 
+/// How many times the lowering chose each superinstruction form, as
+/// reported on the `compile_plan` trace event; a plan whose counts are
+/// all zero runs entirely on generic closures.
+#[derive(Debug, Clone, Copy, Default)]
+struct FusedForms {
+    /// Unary and binary operators reading at least one register or
+    /// constant operand directly.
+    leaf_ops: usize,
+    /// Loads and `len`s of the main input whose indices are all
+    /// registers or constants.
+    leaf_loads: usize,
+    /// Loops `for v in 0 .. len(a[..])` over one row of scalars whose
+    /// row span is computed once per loop.
+    row_loops: usize,
+    /// Row-loop accumulations `acc = acc ⊕ a[..][v]` run as slice folds.
+    slice_folds: usize,
+}
+
+/// A row loop's accumulation operator.
+#[derive(Debug, Clone, Copy)]
+enum FoldOp {
+    Add,
+    Max,
+    Min,
+}
+
+impl FoldOp {
+    fn of(op: BinOp) -> Option<FoldOp> {
+        match op {
+            BinOp::Add => Some(FoldOp::Add),
+            BinOp::Max => Some(FoldOp::Max),
+            BinOp::Min => Some(FoldOp::Min),
+            _ => None,
+        }
+    }
+
+    /// `acc ⊕ row[0] ⊕ row[1] ⊕ ..`, left to right with wrapping
+    /// addition — the value the per-element loop would leave.
+    fn fold(self, acc: i64, row: &[i64]) -> i64 {
+        match self {
+            FoldOp::Add => row.iter().fold(acc, |s, &x| s.wrapping_add(x)),
+            FoldOp::Max => row.iter().fold(acc, |m, &x| m.max(x)),
+            FoldOp::Min => row.iter().fold(acc, |m, &x| m.min(x)),
+        }
+    }
+}
+
+/// A row loop being lowered: its row chain and loop variable (as
+/// written), the variable's register, and the two registers its row
+/// span is cached in for row-relative loads.
+struct RowScope {
+    chain: Vec<Expr>,
+    var: Sym,
+    var_reg: usize,
+    start: usize,
+    len: usize,
+}
+
+/// Whether any statement in `stmts` (recursively) assigns or declares
+/// `sym`, including as a loop variable.
+fn assigns(stmts: &[Stmt], sym: Sym) -> bool {
+    let mut hit = false;
+    for s in stmts {
+        s.walk(&mut |s| {
+            hit |= match s {
+                Stmt::Let { name, .. } => *name == sym,
+                Stmt::Assign { target, .. } => target.base == sym,
+                Stmt::For { var, .. } => *var == sym,
+                Stmt::If { .. } => false,
+            };
+        });
+    }
+    hit
+}
+
 /// Expression/statement lowering state: the register allocation (one
-/// `i64` slot per symbol) and which input accesses are legal in the
-/// current context (the join body must not touch the input).
+/// `i64` slot per symbol, plus anonymous slots for cached row spans),
+/// which input accesses are legal in the current context (the join body
+/// must not touch the input), the enclosing row loops, and the
+/// superinstruction counts.
 struct Compiler<'p> {
     program: &'p Program,
     main: Sym,
     depth: usize,
     regs: HashMap<Sym, usize>,
+    n_regs: usize,
     allow_input: bool,
+    rows: Vec<RowScope>,
+    fused: FusedForms,
 }
 
 impl Compiler<'_> {
     fn reg(&mut self, sym: Sym) -> usize {
-        let next = self.regs.len();
-        *self.regs.entry(sym).or_insert(next)
+        let next = self.n_regs;
+        let reg = *self.regs.entry(sym).or_insert(next);
+        if reg == next {
+            self.n_regs += 1;
+        }
+        reg
+    }
+
+    fn fresh_reg(&mut self) -> usize {
+        self.n_regs += 1;
+        self.n_regs - 1
     }
 
     /// Decompose an index chain `v[e0][e1]..` into its base symbol and
@@ -303,7 +575,7 @@ impl Compiler<'_> {
         }
     }
 
-    fn require_main_chain(&self, e: &Expr) -> CResult<(Sym, Vec<Expr>)> {
+    fn require_main_chain<'e>(&self, e: &'e Expr) -> CResult<Vec<&'e Expr>> {
         let Some((sym, idxs)) = Self::split_chain(e) else {
             return unsupported("index chain with a non-variable base");
         };
@@ -316,13 +588,26 @@ impl Compiler<'_> {
         if !self.allow_input {
             return unsupported("join body references the input");
         }
-        Ok((sym, idxs.into_iter().cloned().collect()))
+        Ok(idxs)
     }
 
-    /// Lower a full-depth load `a[e0]..[e_{d-1}]` to a guarded fused
-    /// offset computation. The first index is relative to the chunk
-    /// window (`base`), matching the interpreter on a sliced input.
-    fn lower_load(&mut self, idxs: &[Expr]) -> CResult<IntOp> {
+    fn lower_chain(&mut self, idxs: &[&Expr]) -> CResult<Vec<Operand>> {
+        let chain: Vec<Operand> = idxs
+            .iter()
+            .map(|e| self.lower_expr(e))
+            .collect::<CResult<_>>()?;
+        if chain.iter().all(Operand::is_leaf) {
+            self.fused.leaf_loads += 1;
+        }
+        Ok(chain)
+    }
+
+    /// Lower a full-depth load `a[e0]..[e_{d-1}]` to a guarded offset
+    /// walk. The first index is relative to the chunk window (`base`),
+    /// matching the interpreter on a sliced input. Inside a row loop
+    /// over this load's row, indexed by the loop variable, the load
+    /// reads the loop's cached row span instead.
+    fn lower_load(&mut self, idxs: &[&Expr]) -> CResult<Operand> {
         if idxs.len() != self.depth {
             return unsupported(format!(
                 "partial index chain ({} of {} dimensions)",
@@ -330,151 +615,133 @@ impl Compiler<'_> {
                 self.depth
             ));
         }
-        let ops: Vec<IntOp> = idxs
-            .iter()
-            .map(|e| self.lower_expr(e))
-            .collect::<CResult<_>>()?;
-        match self.depth {
-            1 => {
-                let [e0] = <[IntOp; 1]>::try_from(ops).ok().expect("one index");
-                Ok(Box::new(move |ctx| {
-                    let iv = e0(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let rows = ctx.rows;
-                    let Some(i) = in_bounds(iv, rows) else {
-                        return ctx.fail_oob(iv, rows);
-                    };
-                    ctx.flat.data[ctx.base + i]
-                }))
-            }
-            2 => {
-                let [e0, e1] = <[IntOp; 2]>::try_from(ops).ok().expect("two indices");
-                Ok(Box::new(move |ctx| {
-                    let iv = e0(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let rows = ctx.rows;
-                    let Some(i) = in_bounds(iv, rows) else {
-                        return ctx.fail_oob(iv, rows);
-                    };
-                    let row = ctx.base + i;
-                    let (c0, c1) = (ctx.flat.off1[row], ctx.flat.off1[row + 1]);
-                    let jv = e1(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let Some(j) = in_bounds(jv, c1 - c0) else {
-                        return ctx.fail_oob(jv, c1 - c0);
-                    };
-                    ctx.flat.data[c0 + j]
-                }))
-            }
-            3 => {
-                let [e0, e1, e2] = <[IntOp; 3]>::try_from(ops).ok().expect("three indices");
-                Ok(Box::new(move |ctx| {
-                    let iv = e0(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let rows = ctx.rows;
-                    let Some(i) = in_bounds(iv, rows) else {
-                        return ctx.fail_oob(iv, rows);
-                    };
-                    let plane = ctx.base + i;
-                    let (r0, r1) = (ctx.flat.off1[plane], ctx.flat.off1[plane + 1]);
-                    let jv = e1(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let Some(j) = in_bounds(jv, r1 - r0) else {
-                        return ctx.fail_oob(jv, r1 - r0);
-                    };
-                    let row = r0 + j;
-                    let (c0, c1) = (ctx.flat.off2[row], ctx.flat.off2[row + 1]);
-                    let kv = e2(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let Some(k) = in_bounds(kv, c1 - c0) else {
-                        return ctx.fail_oob(kv, c1 - c0);
-                    };
-                    ctx.flat.data[c0 + k]
-                }))
-            }
-            _ => unsupported("input depth beyond 3"),
+        let (last, prefix) = idxs.split_last().expect("input depth is at least 1");
+        let scope = self.rows.iter().rev().find(|s| {
+            **last == Expr::Var(s.var)
+                && prefix.len() == s.chain.len()
+                && prefix.iter().zip(&s.chain).all(|(a, b)| *a == b)
+        });
+        if let Some(&RowScope {
+            var_reg,
+            start,
+            len,
+            ..
+        }) = scope
+        {
+            self.fused.leaf_loads += 1;
+            return Ok(Operand::Elem {
+                var: var_reg,
+                start,
+                len,
+            });
         }
+        let mut chain = self.lower_chain(idxs)?;
+        let last = chain.pop().expect("input depth is at least 1");
+        Ok(Operand::Op(Box::new(move |ctx| match ctx.span(&chain) {
+            Some(span) => {
+                let iv = last.eval(ctx);
+                ctx.pick(span, iv)
+            }
+            None => 0,
+        })))
     }
 
     /// Lower `len(chain)` over the main input.
-    fn lower_len(&mut self, inner: &Expr) -> CResult<IntOp> {
-        let (_, idxs) = self.require_main_chain(inner)?;
-        match (self.depth, idxs.len()) {
-            (_, 0) => Ok(Box::new(move |ctx| ctx.rows as i64)),
-            (2, 1) | (3, 1) => {
-                // `off1` holds item offsets at depth 2 and row counts at
-                // depth 3; either way the difference is the level length.
-                let e0 = self.lower_expr(&idxs[0])?;
+    fn lower_len(&mut self, inner: &Expr) -> CResult<Operand> {
+        let idxs = self.require_main_chain(inner)?;
+        if idxs.len() >= self.depth {
+            return unsupported(format!(
+                "`len` of a depth-{} view of a depth-{} input",
+                self.depth as i64 - idxs.len() as i64,
+                self.depth
+            ));
+        }
+        if idxs.is_empty() {
+            return Ok(Operand::Op(Box::new(|ctx| ctx.rows as i64)));
+        }
+        let chain = self.lower_chain(&idxs)?;
+        Ok(Operand::Op(Box::new(move |ctx| {
+            ctx.span(&chain).map_or(0, |(_, len)| len as i64)
+        })))
+    }
+
+    /// Lower the binary operation `a op b`, delivering its value to
+    /// `sink`.
+    fn lower_binary<S: Sink>(&mut self, sink: S, op: BinOp, a: &Expr, b: &Expr) -> CResult<S::Op> {
+        let a = self.lower_expr(a)?;
+        let b = self.lower_expr(b)?;
+        if a.is_leaf() || b.is_leaf() {
+            self.fused.leaf_ops += 1;
+        }
+        Ok(match op {
+            // Short-circuit booleans, like the interpreter; a
+            // leaf right operand has nothing to skip.
+            BinOp::And if !b.is_leaf() => sink.op(move |ctx| {
+                if a.eval(ctx) != 0 {
+                    i64::from(b.eval(ctx) != 0)
+                } else {
+                    0
+                }
+            }),
+            BinOp::Or if !b.is_leaf() => sink.op(move |ctx| {
+                if a.eval(ctx) == 0 {
+                    i64::from(b.eval(ctx) != 0)
+                } else {
+                    1
+                }
+            }),
+            BinOp::Add => fuse2(sink, a, b, |_, x, y| x.wrapping_add(y)),
+            BinOp::Sub => fuse2(sink, a, b, |_, x, y| x.wrapping_sub(y)),
+            BinOp::Mul => fuse2(sink, a, b, |_, x, y| x.wrapping_mul(y)),
+            BinOp::Div => fuse2(sink, a, b, |ctx, x, y| {
+                if y == 0 {
+                    ctx.fail("division by zero")
+                } else {
+                    x.wrapping_div(y)
+                }
+            }),
+            BinOp::Rem => fuse2(sink, a, b, |ctx, x, y| {
+                if y == 0 {
+                    ctx.fail("remainder by zero")
+                } else {
+                    x.wrapping_rem(y)
+                }
+            }),
+            BinOp::Min => fuse2(sink, a, b, |_, x, y| x.min(y)),
+            BinOp::Max => fuse2(sink, a, b, |_, x, y| x.max(y)),
+            BinOp::And => fuse2(sink, a, b, |_, x, y| i64::from(x != 0 && y != 0)),
+            BinOp::Or => fuse2(sink, a, b, |_, x, y| i64::from(x != 0 || y != 0)),
+            BinOp::Eq => fuse2(sink, a, b, |_, x, y| i64::from(x == y)),
+            BinOp::Ne => fuse2(sink, a, b, |_, x, y| i64::from(x != y)),
+            BinOp::Lt => fuse2(sink, a, b, |_, x, y| i64::from(x < y)),
+            BinOp::Le => fuse2(sink, a, b, |_, x, y| i64::from(x <= y)),
+            BinOp::Gt => fuse2(sink, a, b, |_, x, y| i64::from(x > y)),
+            BinOp::Ge => fuse2(sink, a, b, |_, x, y| i64::from(x >= y)),
+        })
+    }
+
+    /// Lower `reg = value`. A binary operation stores its result itself.
+    fn lower_store(&mut self, reg: usize, value: &Expr) -> CResult<StmtOp> {
+        match value {
+            Expr::Binary(op, a, b) if const_fold(value).is_none() => {
+                self.lower_binary(Store(reg), *op, a, b)
+            }
+            _ => {
+                let value = self.lower_expr(value)?;
                 Ok(Box::new(move |ctx| {
-                    let iv = e0(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let rows = ctx.rows;
-                    let Some(i) = in_bounds(iv, rows) else {
-                        return ctx.fail_oob(iv, rows);
-                    };
-                    let row = ctx.base + i;
-                    (ctx.flat.off1[row + 1] - ctx.flat.off1[row]) as i64
+                    let v = value.eval(ctx);
+                    ctx.regs[reg] = v;
                 }))
             }
-            (3, 2) => {
-                let e0 = self.lower_expr(&idxs[0])?;
-                let e1 = self.lower_expr(&idxs[1])?;
-                Ok(Box::new(move |ctx| {
-                    let iv = e0(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let rows = ctx.rows;
-                    let Some(i) = in_bounds(iv, rows) else {
-                        return ctx.fail_oob(iv, rows);
-                    };
-                    let plane = ctx.base + i;
-                    let (r0, r1) = (ctx.flat.off1[plane], ctx.flat.off1[plane + 1]);
-                    let jv = e1(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let Some(j) = in_bounds(jv, r1 - r0) else {
-                        return ctx.fail_oob(jv, r1 - r0);
-                    };
-                    let row = r0 + j;
-                    (ctx.flat.off2[row + 1] - ctx.flat.off2[row]) as i64
-                }))
-            }
-            (d, k) => unsupported(format!(
-                "`len` of a depth-{} view of a depth-{d} input",
-                d - k
-            )),
         }
     }
 
-    fn lower_expr(&mut self, e: &Expr) -> CResult<IntOp> {
+    fn lower_expr(&mut self, e: &Expr) -> CResult<Operand> {
         if let Some(k) = const_fold(e) {
-            return Ok(Box::new(move |_| k));
+            return Ok(Operand::Const(k));
         }
         match e {
-            Expr::Int(n) => {
-                let n = *n;
-                Ok(Box::new(move |_| n))
-            }
-            Expr::Bool(b) => {
-                let v = i64::from(*b);
-                Ok(Box::new(move |_| v))
-            }
+            Expr::Int(_) | Expr::Bool(_) => unreachable!("constants fold"),
             Expr::Var(sym) => {
                 if *sym == self.main {
                     return unsupported("whole-sequence use of the main input");
@@ -487,81 +754,173 @@ impl Compiler<'_> {
                         ));
                     }
                 }
-                let reg = self.reg(*sym);
-                Ok(Box::new(move |ctx| ctx.regs[reg]))
+                Ok(Operand::Reg(self.reg(*sym)))
             }
             Expr::Index(..) => {
-                let (_, idxs) = self.require_main_chain(e)?;
+                let idxs = self.require_main_chain(e)?;
                 self.lower_load(&idxs)
             }
             Expr::Len(inner) => self.lower_len(inner),
             Expr::Zeros(_) => unsupported("`zeros` (array-shaped state)"),
             Expr::Unary(op, a) => {
                 let a = self.lower_expr(a)?;
-                match op {
-                    UnOp::Neg => Ok(Box::new(move |ctx| a(ctx).wrapping_neg())),
-                    UnOp::Not => Ok(Box::new(move |ctx| i64::from(a(ctx) == 0))),
+                if a.is_leaf() {
+                    self.fused.leaf_ops += 1;
                 }
+                Ok(Operand::Op(match op {
+                    UnOp::Neg => fuse1(a, i64::wrapping_neg),
+                    UnOp::Not => fuse1(a, |x| i64::from(x == 0)),
+                }))
             }
-            Expr::Binary(op, a, b) => {
-                let a = self.lower_expr(a)?;
-                let b = self.lower_expr(b)?;
-                match op {
-                    // Short-circuit booleans, like the interpreter.
-                    BinOp::And => Ok(Box::new(move |ctx| {
-                        if a(ctx) != 0 {
-                            i64::from(b(ctx) != 0)
-                        } else {
-                            0
-                        }
-                    })),
-                    BinOp::Or => Ok(Box::new(move |ctx| {
-                        if a(ctx) == 0 {
-                            i64::from(b(ctx) != 0)
-                        } else {
-                            1
-                        }
-                    })),
-                    BinOp::Div => Ok(Box::new(move |ctx| {
-                        let (x, y) = (a(ctx), b(ctx));
-                        if y == 0 {
-                            ctx.fail("division by zero")
-                        } else {
-                            x.wrapping_div(y)
-                        }
-                    })),
-                    BinOp::Rem => Ok(Box::new(move |ctx| {
-                        let (x, y) = (a(ctx), b(ctx));
-                        if y == 0 {
-                            ctx.fail("remainder by zero")
-                        } else {
-                            x.wrapping_rem(y)
-                        }
-                    })),
-                    op => {
-                        let op = *op;
-                        Ok(Box::new(move |ctx| {
-                            let (x, y) = (a(ctx), b(ctx));
-                            eval_pure_binop(op, x, y)
-                        }))
-                    }
-                }
-            }
+            Expr::Binary(op, a, b) => Ok(Operand::Op(self.lower_binary(Yield, *op, a, b)?)),
             Expr::Ite(c, t, e2) => {
                 let c = self.lower_expr(c)?;
                 let t = self.lower_expr(t)?;
                 let e2 = self.lower_expr(e2)?;
-                Ok(Box::new(move |ctx| {
+                Ok(Operand::Op(Box::new(move |ctx| {
                     // Lazy, like the interpreter: only the taken branch
                     // evaluates (it may divide or index).
-                    if c(ctx) != 0 {
-                        t(ctx)
+                    if c.eval(ctx) != 0 {
+                        t.eval(ctx)
                     } else {
-                        e2(ctx)
+                        e2.eval(ctx)
                     }
-                }))
+                })))
             }
         }
+    }
+
+    /// The row chain of a row loop `for var in 0 .. len(a[c0]..[ck])`:
+    /// the bound views one row of scalars (`k + 1` is the input depth),
+    /// every index is a constant or a register other than `var`'s, and
+    /// `body` assigns neither `var` nor any index variable, so the row
+    /// is the same on every iteration. (A counter may shadow an outer
+    /// one, as in `for i .. len(a[i])`: the bound reads the outer `i`,
+    /// the body the inner, on one shared register.) `None` for any
+    /// other loop.
+    fn row_chain<'e>(&self, var: Sym, bound: &'e Expr, body: &[Stmt]) -> Option<Vec<&'e Expr>> {
+        let Expr::Len(inner) = bound else {
+            return None;
+        };
+        let (sym, idxs) = Self::split_chain(inner)?;
+        let invariant = |e: &Expr| match e {
+            Expr::Var(s) => *s != var && *s != self.main && !assigns(body, *s),
+            e => const_fold(e).is_some(),
+        };
+        (sym == self.main
+            && self.allow_input
+            && idxs.len() + 1 == self.depth
+            && !assigns(body, var)
+            && idxs.iter().all(|e| invariant(e)))
+        .then_some(idxs)
+    }
+
+    /// The accumulations of a row-loop body whose every statement is
+    /// `acc = acc ⊕ a[chain][var]` (or `a[chain][var] ⊕ acc`) with
+    /// ⊕ ∈ {`+`, `max`, `min`} and pairwise distinct accumulators: the
+    /// statements then never read each other, so each is one fold over
+    /// the row. `None` if any statement has another shape.
+    fn slice_folds(
+        &mut self,
+        var: Sym,
+        chain: &[&Expr],
+        body: &[Stmt],
+    ) -> CResult<Option<Vec<(usize, FoldOp)>>> {
+        let is_elem = |e: &Expr| {
+            Self::split_chain(e).is_some_and(|(sym, idxs)| {
+                sym == self.main
+                    && idxs.len() == chain.len() + 1
+                    && idxs[..chain.len()] == *chain
+                    && *idxs[chain.len()] == Expr::Var(var)
+            })
+        };
+        let mut accs: Vec<Sym> = Vec::with_capacity(body.len());
+        let mut ops = Vec::with_capacity(body.len());
+        for stmt in body {
+            let Stmt::Assign { target, value } = stmt else {
+                return Ok(None);
+            };
+            let Expr::Binary(op, a, b) = value else {
+                return Ok(None);
+            };
+            let acc = target.base;
+            let reads_acc = |e: &Expr| *e == Expr::Var(acc);
+            let Some(op) = FoldOp::of(*op) else {
+                return Ok(None);
+            };
+            if !target.indices.is_empty()
+                || accs.contains(&acc)
+                || !((reads_acc(a) && is_elem(b)) || (is_elem(a) && reads_acc(b)))
+            {
+                return Ok(None);
+            }
+            accs.push(acc);
+            ops.push(op);
+        }
+        let mut folds = Vec::with_capacity(accs.len());
+        for (acc, op) in accs.into_iter().zip(ops) {
+            let Operand::Reg(reg) = self.lower_expr(&Expr::Var(acc))? else {
+                return Ok(None);
+            };
+            folds.push((reg, op));
+        }
+        Ok(Some(folds))
+    }
+
+    /// Lower a row loop (see [`Compiler::row_chain`]). The row span is
+    /// computed once, with `len`'s errors; a body of accumulations
+    /// becomes slice folds, any other body runs per element with its
+    /// `a[chain][var]` loads reading the cached span. Either way the
+    /// loop variable ends at the last iteration's value, as on the
+    /// generic path.
+    fn lower_row_loop(&mut self, var: Sym, chain: &[&Expr], body: &[Stmt]) -> CResult<StmtOp> {
+        let var_reg = self.reg(var);
+        let chain_ops = self.lower_chain(chain)?;
+        self.fused.row_loops += 1;
+        if let Some(folds) = self.slice_folds(var, chain, body)? {
+            self.fused.slice_folds += folds.len();
+            return Ok(Box::new(move |ctx| {
+                let span = ctx.span(&chain_ops);
+                let (Some((start, len)), None) = (span, &ctx.err) else {
+                    return;
+                };
+                if len == 0 {
+                    return;
+                }
+                let flat = ctx.flat;
+                let row = &flat.data[start..start + len];
+                for &(acc, op) in &folds {
+                    ctx.regs[acc] = op.fold(ctx.regs[acc], row);
+                }
+                ctx.regs[var_reg] = len as i64 - 1;
+            }));
+        }
+        let (start_reg, len_reg) = (self.fresh_reg(), self.fresh_reg());
+        self.rows.push(RowScope {
+            chain: chain.iter().map(|e| (*e).clone()).collect(),
+            var,
+            var_reg,
+            start: start_reg,
+            len: len_reg,
+        });
+        let body_ops = self.lower_stmts(body);
+        self.rows.pop();
+        let body_ops = body_ops?;
+        Ok(Box::new(move |ctx| {
+            let span = ctx.span(&chain_ops);
+            let (Some((start, len)), None) = (span, &ctx.err) else {
+                return;
+            };
+            ctx.regs[start_reg] = start as i64;
+            ctx.regs[len_reg] = len as i64;
+            for i in 0..len as i64 {
+                ctx.regs[var_reg] = i;
+                run_ops(&body_ops, ctx);
+                if ctx.err.is_some() {
+                    return;
+                }
+            }
+        }))
     }
 
     fn lower_stmt(&mut self, stmt: &Stmt) -> CResult<StmtOp> {
@@ -573,12 +932,8 @@ impl Compiler<'_> {
                         self.program.name(*name)
                     ));
                 }
-                let value = self.lower_expr(init)?;
                 let reg = self.reg(*name);
-                Ok(Box::new(move |ctx| {
-                    let v = value(ctx);
-                    ctx.regs[reg] = v;
-                }))
+                self.lower_store(reg, init)
             }
             Stmt::Assign { target, value } => {
                 if !target.indices.is_empty() {
@@ -587,12 +942,8 @@ impl Compiler<'_> {
                         self.program.name(target.base)
                     ));
                 }
-                let value = self.lower_expr(value)?;
                 let reg = self.reg(target.base);
-                Ok(Box::new(move |ctx| {
-                    let v = value(ctx);
-                    ctx.regs[reg] = v;
-                }))
+                self.lower_store(reg, value)
             }
             Stmt::If {
                 cond,
@@ -603,7 +954,7 @@ impl Compiler<'_> {
                 let then_ops = self.lower_stmts(then_branch)?;
                 let else_ops = self.lower_stmts(else_branch)?;
                 Ok(Box::new(move |ctx| {
-                    let c = cond(ctx);
+                    let c = cond.eval(ctx);
                     if ctx.err.is_some() {
                         return;
                     }
@@ -615,11 +966,14 @@ impl Compiler<'_> {
                 }))
             }
             Stmt::For { var, bound, body } => {
+                if let Some(chain) = self.row_chain(*var, bound, body) {
+                    return self.lower_row_loop(*var, &chain, body);
+                }
                 let bound = self.lower_expr(bound)?;
                 let var_reg = self.reg(*var);
                 let body_ops = self.lower_stmts(body)?;
                 Ok(Box::new(move |ctx| {
-                    let n = bound(ctx);
+                    let n = bound.eval(ctx);
                     if ctx.err.is_some() {
                         return;
                     }
@@ -814,8 +1168,7 @@ impl CompiledPlan {
         else {
             return Err("join on a map-only plan".to_owned());
         };
-        let empty = self.empty.clone();
-        let mut ctx = self.ctx(&empty, 0, 0);
+        let mut ctx = self.ctx(&self.empty, 0, 0);
         for bind in join_bind {
             // Convention of `apply_join`: each state variable starts at
             // its left value, with `v__l`/`v__r` bound alongside.
@@ -1013,7 +1366,10 @@ pub fn compile_plan(plan: &Parallelization) -> std::result::Result<CompiledPlan,
         main: main_decl.name,
         depth,
         regs: HashMap::new(),
+        n_regs: 0,
         allow_input: true,
+        rows: Vec::new(),
+        fused: FusedForms::default(),
     };
     let state_regs: Vec<usize> = program.state.iter().map(|d| c.reg(d.name)).collect();
 
@@ -1073,7 +1429,7 @@ pub fn compile_plan(plan: &Parallelization) -> std::result::Result<CompiledPlan,
     };
 
     let compiled = CompiledPlan {
-        n_regs: c.regs.len(),
+        n_regs: c.n_regs,
         main_index,
         depth,
         state_regs,
@@ -1098,6 +1454,10 @@ pub fn compile_plan(plan: &Parallelization) -> std::result::Result<CompiledPlan,
                 ),
                 ("regs", compiled.n_regs.into()),
                 ("state_slots", compiled.state_arity().into()),
+                ("leaf_ops", c.fused.leaf_ops.into()),
+                ("leaf_loads", c.fused.leaf_loads.into()),
+                ("row_loops", c.fused.row_loops.into()),
+                ("slice_folds", c.fused.slice_folds.into()),
             ],
         );
     }
@@ -1209,7 +1569,9 @@ fn run_compiled(
 
 /// Run chunk kernels over `ranges` on scoped threads with the same
 /// panic isolation as the interpreted executors: catch in the worker,
-/// retry once on the calling thread, report persistent failures.
+/// retry once on the calling thread, report persistent failures. A
+/// single range runs on the calling thread (nothing to overlap), with
+/// the same catch → retry → report sequence.
 struct GuardedChunks<T> {
     results: Vec<std::result::Result<T, String>>,
     recovered: usize,
@@ -1221,26 +1583,30 @@ fn run_guarded_chunks<T: Send>(
     ranges: &[(usize, usize)],
     kernel: impl Fn(usize, usize) -> std::result::Result<T, String> + Sync,
 ) -> GuardedChunks<T> {
+    let attempt = |lo, hi| {
+        catch_unwind(AssertUnwindSafe(|| kernel(lo, hi))).map_err(|p| payload_string(p.as_ref()))
+    };
     let guarded: Vec<std::result::Result<std::result::Result<T, String>, String>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(lo, hi)| {
-                    let kernel = &kernel;
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| kernel(lo, hi)))
-                            .map_err(|p| payload_string(p.as_ref()))
+        if let [(lo, hi)] = *ranges {
+            vec![attempt(lo, hi)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = ranges
+                    .iter()
+                    .map(|&(lo, hi)| {
+                        let attempt = &attempt;
+                        scope.spawn(move || attempt(lo, hi))
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    Err(payload) => Err(payload_string(payload.as_ref())),
-                })
-                .collect()
-        });
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| match h.join() {
+                        Ok(result) => result,
+                        Err(payload) => Err(payload_string(payload.as_ref())),
+                    })
+                    .collect()
+            })
+        };
 
     let mut out = GuardedChunks {
         results: Vec::with_capacity(guarded.len()),
@@ -1253,13 +1619,13 @@ fn run_guarded_chunks<T: Send>(
             Ok(value) => out.results.push(value),
             Err(payload) => {
                 emit_worker_panic(chunk, 0, &payload);
-                match catch_unwind(AssertUnwindSafe(|| kernel(lo, hi))) {
+                match attempt(lo, hi) {
                     Ok(value) => {
                         out.recovered += 1;
                         out.results.push(value);
                     }
-                    Err(p) => {
-                        emit_worker_panic(chunk, 1, &payload_string(p.as_ref()));
+                    Err(payload) => {
+                        emit_worker_panic(chunk, 1, &payload);
                         if out.failed == 0 {
                             out.first_failed_chunk = chunk;
                         }
@@ -1739,5 +2105,85 @@ mod tests {
         let out = exec.run(&task, &items).unwrap();
         let sequential = run_program(&plan.program, &inputs).unwrap();
         assert_eq!(compiled.state_to_vec(&out.value), sequential);
+    }
+
+    /// Lower `source`'s body alone, run it over `input` from zeroed
+    /// registers, and return the final register of `name` (loop
+    /// variables are scoped, so no program can read one afterwards).
+    fn final_register(source: &str, input: &Value, name: &str) -> (i64, FusedForms) {
+        let program = parsynt_lang::parse(source).unwrap();
+        let decl = &program.inputs[0];
+        let mut c = Compiler {
+            program: &program,
+            main: decl.name,
+            depth: decl.ty.dim(),
+            regs: HashMap::new(),
+            n_regs: 0,
+            allow_input: true,
+            rows: Vec::new(),
+            fused: FusedForms::default(),
+        };
+        let ops = c.lower_stmts(&program.body).unwrap();
+        let reg = c.reg(program.sym(name).unwrap());
+        let flat = FlatInput::from_value(input, decl.ty.dim()).unwrap();
+        let mut ctx = Ctx {
+            flat: &flat,
+            base: 0,
+            rows: flat.n,
+            regs: vec![0; c.n_regs],
+            err: None,
+        };
+        run_ops(&ops, &mut ctx);
+        assert!(ctx.err.is_none());
+        (ctx.regs[reg], c.fused)
+    }
+
+    #[test]
+    fn row_loop_variable_ends_where_the_generic_loop_leaves_it() {
+        let head = "input a : seq<seq<int>>; state s : int = 0; for i in 0 .. len(a) {";
+        let fold = format!("{head} for j in 0 .. len(a[i]) {{ s = s + a[i][j]; }} }}");
+        let general = format!("{head} for j in 0 .. len(a[i]) {{ s = s + a[i][j] * 2; }} }}");
+        let generic = format!("{head} for j in 0 .. len(a[i]) + 0 {{ s = s + a[i][j]; }} }}");
+        // An empty last row leaves the variable where the row before
+        // left it; an empty first row leaves it untouched.
+        for (rows, j) in [(vec![vec![4, 5, 6], vec![]], 2), (vec![vec![], vec![1]], 0)] {
+            let input = Value::seq2_of_ints(&rows);
+            let (fold_j, fused) = final_register(&fold, &input, "j");
+            assert_eq!(fused.slice_folds, 1);
+            let (general_j, fused) = final_register(&general, &input, "j");
+            assert_eq!((fused.row_loops, fused.slice_folds), (1, 0));
+            let (generic_j, fused) = final_register(&generic, &input, "j");
+            assert_eq!(fused.row_loops, 0);
+            assert_eq!((fold_j, general_j, generic_j), (j, j, j), "{rows:?}");
+        }
+    }
+
+    #[test]
+    fn single_chunk_runs_on_the_caller_with_retry_and_failure() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let caller = std::thread::current().id();
+        let calls = AtomicUsize::new(0);
+        // Panics on the first attempt only: recovered by the retry.
+        let flaky = run_guarded_chunks(&[(0, 4)], |lo, hi| {
+            assert_eq!(std::thread::current().id(), caller);
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("injected");
+            }
+            Ok(hi - lo)
+        });
+        assert_eq!((flaky.recovered, flaky.failed), (1, 0));
+        assert_eq!(flaky.results, vec![Ok(4)]);
+        // Panics on every attempt: reported as failed after the retry.
+        let broken = run_guarded_chunks(&[(0, 4)], |_, _| -> std::result::Result<usize, String> {
+            panic!("always")
+        });
+        assert_eq!((broken.recovered, broken.failed), (0, 1));
+        assert!(broken.results.is_empty());
+        // Several ranges still run on workers, one per range.
+        let spread = run_guarded_chunks(&[(0, 2), (2, 5)], |lo, hi| {
+            assert_ne!(std::thread::current().id(), caller);
+            Ok(hi - lo)
+        });
+        assert_eq!(spread.results, vec![Ok(2), Ok(3)]);
     }
 }

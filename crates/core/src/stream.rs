@@ -90,7 +90,8 @@ pub struct StreamExecOutcome {
 
 /// Chunk a batch input set for streaming: every yielded input set is the
 /// original with the main input replaced by a `chunk_rows`-row slice of
-/// its outer dimension.
+/// its outer dimension. Only the slice and the other inputs are copied
+/// per chunk, never the whole main input.
 ///
 /// # Errors
 ///
@@ -110,8 +111,17 @@ pub fn chunk_value_inputs(
     let mut lo = 0;
     while lo < n {
         let hi = (lo + chunk_rows).min(n);
-        let mut chunk = inputs.to_vec();
-        chunk[main] = inputs[main].slice(lo, hi);
+        let chunk = inputs
+            .iter()
+            .enumerate()
+            .map(|(k, v)| {
+                if k == main {
+                    v.slice(lo, hi)
+                } else {
+                    v.clone()
+                }
+            })
+            .collect();
         out.push(chunk);
         lo = hi;
     }
@@ -439,6 +449,36 @@ mod tests {
     use super::*;
     use crate::testplans;
     use parsynt_lang::interp::run_program;
+
+    #[test]
+    fn chunks_equal_the_whole_input_set_with_a_sliced_main_input() {
+        // Two inputs, the main one second: each chunk must be the input
+        // set with only the main input replaced by its slice.
+        let program = parsynt_lang::parse(
+            "input w : seq<int>; input a : seq<seq<int>>; state s : int = 0;\n\
+             for i in 0 .. len(a) { s = s + w[0] + len(a[i]); }",
+        )
+        .unwrap();
+        let plan = Parallelization {
+            program,
+            outcome: Outcome::MapOnly,
+            report: crate::schema::Report::default(),
+        };
+        let inputs = vec![Value::seq_of_ints(&[5, 6]), Value::seq2_of_ints(&rows(7))];
+        for chunk_rows in [0, 1, 2, 3, 7, 10] {
+            let mut expected = Vec::new();
+            let mut lo = 0;
+            while lo < 7 {
+                let hi = (lo + chunk_rows.max(1)).min(7);
+                let mut chunk = inputs.clone();
+                chunk[1] = inputs[1].slice(lo, hi);
+                expected.push(chunk);
+                lo = hi;
+            }
+            let chunks = chunk_value_inputs(&plan, &inputs, chunk_rows).unwrap();
+            assert_eq!(chunks, expected, "chunk rows = {chunk_rows}");
+        }
+    }
 
     fn rows(n: usize) -> Vec<Vec<i64>> {
         (0..n)

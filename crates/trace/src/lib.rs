@@ -104,8 +104,12 @@
 //! engine for running synthesized plans):
 //!
 //! * `execute/compile_plan` (point, `fields.kind`, `fields.regs`,
-//!   `fields.state_slots`) — a plan was compiled to fused native chunk
-//!   kernels; `kind` is `divide_and_conquer` or `map_only`;
+//!   `fields.state_slots`, `fields.leaf_ops`, `fields.leaf_loads`,
+//!   `fields.row_loops`, `fields.slice_folds`) — a plan was compiled to
+//!   fused native chunk kernels; `kind` is `divide_and_conquer` or
+//!   `map_only`, and the last four count the superinstruction forms the
+//!   lowering used (operators on register/constant operands, loads with
+//!   register/constant indices, row loops, and slice folds);
 //! * `execute/compile_fallback` (point, `fields.reason`) — the compiled
 //!   engine was requested but the plan (or, in streaming, a chunk's
 //!   main input) is outside compiler coverage, so execution fell back

@@ -48,6 +48,12 @@ cargo test --test native_vs_interpreter -q
 cargo test --test native_vs_interpreter --features fault-inject -q
 cargo test -p parsynt-core compile -q
 
+# End-to-end benchmark smoke test: every workload at a tiny size, each
+# call's result checked against the interpreter or the 1-thread run,
+# and every metric BENCHMARK.json names printed with its unit.
+echo "== e2ebench smoke =="
+python3 e2ebench/run.py --smoke
+
 # Non-test code must select the execution engine through
 # `run_plan_checked` / `RunConfig` rather than constructing the
 # interpreter path directly; the interpreter entry points

@@ -260,12 +260,13 @@ fn lcs_source_is_longest_aligned_run() {
 mod engines {
     use super::rows;
     use parsynt::core::{
-        compile_plan, run_plan_checked, Engine, Parallelization, Pipeline, PipelineConfig,
-        RunConfig,
+        chunk_value_inputs, compile_plan, run_plan_checked, run_stream_checked, Engine,
+        Parallelization, Pipeline, PipelineConfig, RunConfig,
     };
     use parsynt::lang::interp::StateVec;
     use parsynt::lang::{parse, Value};
     use parsynt::suite::benchmark;
+    use parsynt::trace::{set_ambient, CollectingSink, FieldValue, Tracer};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::sync::OnceLock;
@@ -430,6 +431,435 @@ mod engines {
             let state = run_both(&plan, &[input.clone()], threads);
             assert_eq!(state.scalar_named(&plan.program, "mtl"), Some(best));
         }
+    }
+
+    fn max_top_strip_plan() -> &'static Parallelization {
+        static PLAN: OnceLock<Parallelization> = OnceLock::new();
+        PLAN.get_or_init(|| {
+            let b = benchmark("max_top_strip").expect("known benchmark");
+            let program = parse(b.source).expect("source parses");
+            Pipeline::new(&program)
+                .configure(PipelineConfig::default().with_profile(b.profile.clone()))
+                .run()
+                .expect("max_top_strip synthesizes")
+                .parallelization
+        })
+    }
+
+    /// The superinstruction forms the lowering chose for `plan`, read
+    /// from its `compile_plan` trace event.
+    #[derive(Debug)]
+    struct Fused {
+        leaf_ops: i64,
+        leaf_loads: i64,
+        row_loops: i64,
+        slice_folds: i64,
+    }
+
+    fn fused_forms(plan: &Parallelization) -> Fused {
+        let sink = CollectingSink::new();
+        {
+            let _guard = set_ambient(Tracer::from_sink(sink.clone()));
+            compile_plan(plan).expect("plan compiles");
+        }
+        let events = sink.events();
+        let event = events
+            .iter()
+            .find(|e| e.name == "compile_plan")
+            .expect("compile_plan event");
+        let count = |key: &str| match event.fields.get(key) {
+            Some(FieldValue::Int(n)) => *n,
+            other => panic!("compile_plan.{key} = {other:?}"),
+        };
+        Fused {
+            leaf_ops: count("leaf_ops"),
+            leaf_loads: count("leaf_loads"),
+            row_loops: count("row_loops"),
+            slice_folds: count("slice_folds"),
+        }
+    }
+
+    /// The Figure-9 plans must run on the superinstruction forms, not
+    /// slide back to generic closures: each has a row loop folded over
+    /// its rows and operators fused with their register operands.
+    #[test]
+    fn figure9_plans_take_the_fused_forms() {
+        for (name, plan) in [
+            ("sum", sum2d_plan()),
+            ("max_top_strip", max_top_strip_plan()),
+            ("mbbs", mbbs_plan()),
+        ] {
+            let fused = fused_forms(plan);
+            assert!(fused.row_loops >= 1, "{name}: {fused:?}");
+            assert!(fused.slice_folds >= 1, "{name}: {fused:?}");
+            assert!(fused.leaf_ops >= 1, "{name}: {fused:?}");
+        }
+    }
+
+    /// A divide-and-conquer plan over `source` with the join
+    /// `v = v__l + v__r` (`&&` on booleans) and no synthesis. The join
+    /// need not be right for the program; both engines run the same one,
+    /// so they must agree byte for byte at every chunking.
+    fn plan_of(source: &str) -> Parallelization {
+        use parsynt::core::{Outcome, Report};
+        use parsynt::lang::ast::{BinOp, Expr, LValue, Stmt};
+        use parsynt::lang::Ty;
+        use parsynt::synth::join::{JoinVocab, SynthesizedJoin};
+        let mut program = parse(source).expect("source parses");
+        let vocab = JoinVocab::install(&mut program);
+        let stmts = program
+            .state
+            .iter()
+            .map(|d| {
+                let v = vocab.var(d.name).expect("state in the vocabulary");
+                let op = if d.ty == Ty::Bool {
+                    BinOp::And
+                } else {
+                    BinOp::Add
+                };
+                Stmt::Assign {
+                    target: LValue::var(d.name),
+                    value: Expr::bin(op, Expr::var(v.l), Expr::var(v.r)),
+                }
+            })
+            .collect();
+        Parallelization {
+            program,
+            outcome: Outcome::DivideAndConquer {
+                join: SynthesizedJoin { stmts },
+                vocab,
+            },
+            report: Report::default(),
+        }
+    }
+
+    type Snapshots = Vec<(usize, u64, StateVec)>;
+
+    fn stream(
+        plan: &Parallelization,
+        input: &Value,
+        chunk_rows: usize,
+        engine: Engine,
+    ) -> (Result<StateVec, String>, Snapshots) {
+        let chunks =
+            chunk_value_inputs(plan, std::slice::from_ref(input), chunk_rows).expect("chunkable");
+        let mut snaps = Vec::new();
+        let run = RunConfig::work_stealing(2).with_engine(engine);
+        let out = run_stream_checked(plan, chunks, run, 1, |s| {
+            snaps.push((s.chunks, s.elements, s.state.clone()));
+        });
+        (out.map(|o| o.state).map_err(|e| e.to_string()), snaps)
+    }
+
+    /// Both engines at 1, 2, 3 and 8 threads and as streams of 1-, 2-
+    /// and 5-row chunks (a snapshot after every chunk): results, error
+    /// messages and snapshots must be byte-identical. Returns the
+    /// 1-thread result.
+    fn engines_agree(plan: &Parallelization, input: &Value) -> Result<StateVec, String> {
+        let inputs = [input.clone()];
+        let batch = |threads: usize, engine| {
+            run_plan_checked(
+                plan,
+                &inputs,
+                &RunConfig::work_stealing(threads).with_engine(engine),
+            )
+            .map(|o| o.state)
+            .map_err(|e| e.to_string())
+        };
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                batch(threads, Engine::Compiled),
+                batch(threads, Engine::Interp),
+                "engines disagree at {threads} threads"
+            );
+        }
+        if input.len().unwrap_or(0) > 0 {
+            for chunk_rows in [1, 2, 5] {
+                assert_eq!(
+                    stream(plan, input, chunk_rows, Engine::Compiled),
+                    stream(plan, input, chunk_rows, Engine::Interp),
+                    "streams disagree at {chunk_rows}-row chunks"
+                );
+            }
+        }
+        batch(1, Engine::Compiled)
+    }
+
+    /// An input of the given depth: `n` outer elements, ragged and empty
+    /// rows (rows of exactly `width` when pinned), values from `values`.
+    fn input_of(depth: usize, n: usize, width: Option<usize>, values: &[i64], seed: u64) -> Value {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let row = |rng: &mut SmallRng| -> Vec<i64> {
+            let len = width.unwrap_or_else(|| rng.gen_range(0..6));
+            (0..len)
+                .map(|_| values[rng.gen_range(0..values.len())])
+                .collect()
+        };
+        match depth {
+            1 => Value::seq_of_ints(
+                &(0..n)
+                    .map(|_| values[rng.gen_range(0..values.len())])
+                    .collect::<Vec<_>>(),
+            ),
+            2 => Value::seq2_of_ints(&(0..n).map(|_| row(&mut rng)).collect::<Vec<_>>()),
+            _ => Value::seq3_of_ints(
+                &(0..n)
+                    .map(|_| (0..rng.gen_range(0..4)).map(|_| row(&mut rng)).collect())
+                    .collect::<Vec<_>>(),
+            ),
+        }
+    }
+
+    /// Values in `-20..=20`.
+    fn small() -> Vec<i64> {
+        (-20..=20).collect()
+    }
+
+    /// Rows at the `i64` limits, so sums and products wrap.
+    fn extremes() -> Vec<Vec<i64>> {
+        vec![
+            vec![i64::MAX, 1, i64::MAX],
+            vec![],
+            vec![i64::MIN, -1],
+            vec![i64::MAX, i64::MIN, i64::MIN, 3],
+            vec![7],
+        ]
+    }
+
+    /// The inputs every depth-2 differential test runs on: ragged rows
+    /// with empty ones, wrapping rows, only empty rows, no rows.
+    fn depth2_inputs() -> Vec<Value> {
+        vec![
+            input_of(2, 23, None, &small(), 7),
+            Value::seq2_of_ints(&extremes()),
+            Value::seq2_of_ints(&[vec![], vec![], vec![]]),
+            Value::Seq(Vec::new()),
+        ]
+    }
+
+    #[test]
+    fn slice_folds_match_interpreter() {
+        let plan = plan_of(
+            "input a : seq<seq<int>>;\n\
+             state s : int = 0; state mx : int = 0 - 1000; state mn : int = 1000;\n\
+             state rows : int = 0;\n\
+             for i in 0 .. len(a) {\n\
+               for j in 0 .. len(a[i]) {\n\
+                 s = s + a[i][j]; mx = max(mx, a[i][j]); mn = min(a[i][j], mn);\n\
+               }\n\
+               rows = rows + 1;\n\
+             }",
+        );
+        let fused = fused_forms(&plan);
+        assert_eq!((fused.row_loops, fused.slice_folds), (1, 3), "{fused:?}");
+        for input in depth2_inputs() {
+            engines_agree(&plan, &input).unwrap();
+        }
+        // Wrap-around at the limits: the fold wraps exactly like the
+        // per-element loop.
+        let state = engines_agree(&plan, &Value::seq2_of_ints(&extremes())).unwrap();
+        let expected = extremes()
+            .iter()
+            .flatten()
+            .fold(0i64, |s, &x| s.wrapping_add(x));
+        assert_eq!(state.scalar_named(&plan.program, "s"), Some(expected));
+    }
+
+    #[test]
+    fn general_row_loops_match_interpreter() {
+        // Not a fold body: the loads read the loop's cached row span.
+        let plan = plan_of(
+            "input a : seq<seq<int>>;\n\
+             state s : int = 0; state p : int = 0; state neg : bool = false;\n\
+             for i in 0 .. len(a) {\n\
+               let row : int = 0;\n\
+               for j in 0 .. len(a[i]) {\n\
+                 row = row + a[i][j] * 3;\n\
+                 if (a[i][j] < 0 && !neg) { neg = true; }\n\
+                 p = max(p, 0 - a[i][j]) + j;\n\
+               }\n\
+               s = s - row; p = p - 2;\n\
+             }",
+        );
+        let fused = fused_forms(&plan);
+        assert_eq!((fused.row_loops, fused.slice_folds), (1, 0), "{fused:?}");
+        assert!(fused.leaf_ops >= 3 && fused.leaf_loads >= 4, "{fused:?}");
+        for input in depth2_inputs() {
+            engines_agree(&plan, &input).unwrap();
+        }
+    }
+
+    #[test]
+    fn row_loops_need_an_invariant_row() {
+        // The body moves the row index `k`: `len(a[k])` is read once but
+        // `a[k][j]` follows `k`, so no row span may be cached.
+        let moving = plan_of(
+            "input a : seq<seq<int>>; state s : int = 0; state k : int = 0;\n\
+             for i in 0 .. len(a) {\n\
+               for j in 0 .. len(a[k]) { s = s + a[k][j]; k = i; }\n\
+             }",
+        );
+        assert_eq!(fused_forms(&moving).row_loops, 0);
+        let rows = Value::seq2_of_ints(&[vec![1, 2, 3], vec![4], vec![5, 6], vec![7, 8, 9]]);
+        engines_agree(&moving, &rows).unwrap_err();
+        for input in depth2_inputs() {
+            let _ = engines_agree(&moving, &input);
+        }
+        // The inner counter shadows the outer one: the bound reads row
+        // `a[outer i]`, the body `a[inner i][inner i]`, a different row
+        // on every iteration. Fold and general bodies alike.
+        for body in ["s = s + a[i][i];", "s = s + a[i][i] * 2;"] {
+            let shadow = plan_of(&format!(
+                "input a : seq<seq<int>>; state s : int = 0;\n\
+                 for i in 0 .. len(a) {{ for i in 0 .. len(a[i]) {{ {body} }} }}"
+            ));
+            assert_eq!(fused_forms(&shadow).row_loops, 0, "{body}");
+            // The diagonal 1 + 5 + 10, once per outer row; the outer
+            // rows' sums would give 46.
+            let square = Value::seq2_of_ints(&[vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 10]]);
+            let state = engines_agree(&shadow, &square).unwrap();
+            let scale = if body.contains("* 2") { 2 } else { 1 };
+            let diagonal = 3 * 16 * scale;
+            assert_eq!(state.scalar_named(&shadow.program, "s"), Some(diagonal));
+            for input in depth2_inputs() {
+                let _ = engines_agree(&shadow, &input);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_bounds_indices_match_interpreter() {
+        let width1 = Value::seq2_of_ints(&[vec![3], vec![4], vec![5]]);
+        let cases = [
+            // A pair benchmark's constant index on width-1 rows.
+            "for i in 0 .. len(a) { s = s + a[i][1]; }",
+            "for i in 0 .. len(a) { s = s + a[i][0 - 1]; }",
+            // A register index past the chunk.
+            "for i in 0 .. len(a) { let k : int = i + 1; s = s + a[k][0]; }",
+            // A row-loop bound past the chunk, fold and general bodies.
+            "for i in 0 .. len(a) { let k : int = i + 1; \
+               for j in 0 .. len(a[k]) { s = s + a[k][j]; } }",
+            "for i in 0 .. len(a) { let k : int = i + 1; \
+               for j in 0 .. len(a[k]) { s = s + a[k][j] * 2; } }",
+            // A row-relative load one past the row.
+            "for i in 0 .. len(a) { for j in 0 .. len(a[i]) { s = s + a[i][j + 1]; } }",
+        ];
+        for body in cases {
+            let plan = plan_of(&format!(
+                "input a : seq<seq<int>>; state s : int = 0;\n{body}"
+            ));
+            compile_plan(&plan).expect("plan compiles");
+            for input in [width1.clone(), input_of(2, 9, None, &small(), 9)] {
+                let err = engines_agree(&plan, &input).unwrap_err();
+                assert!(err.contains("out of bounds"), "{body}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn division_by_zero_matches_interpreter() {
+        let plan = plan_of(
+            "input a : seq<seq<int>>; state q : int = 0; state r : int = 0; state w : int = 0;\n\
+             for i in 0 .. len(a) {\n\
+               for j in 0 .. len(a[i]) {\n\
+                 q = q + 100 / a[i][j]; r = r + a[i][j] % (a[i][j] - 4); w = w + a[i][j] / (0 - 1);\n\
+               }\n\
+             }",
+        );
+        let zero = Value::seq2_of_ints(&[vec![5, 3], vec![2, 0, 1]]);
+        let err = engines_agree(&plan, &zero).unwrap_err();
+        assert_eq!(err, "evaluation error: division by zero");
+        let rem = Value::seq2_of_ints(&[vec![5, 3], vec![4]]);
+        let err = engines_agree(&plan, &rem).unwrap_err();
+        assert_eq!(err, "evaluation error: remainder by zero");
+        // `i64::MIN / -1` wraps, as in the interpreter.
+        let wrap = Value::seq2_of_ints(&[vec![i64::MIN], vec![-1], vec![7]]);
+        let state = engines_agree(&plan, &wrap).unwrap();
+        let w = i64::MIN.wrapping_div(-1).wrapping_add(1).wrapping_add(-7);
+        assert_eq!(state.scalar_named(&plan.program, "w"), Some(w));
+    }
+
+    #[test]
+    fn depth1_and_depth3_row_loops_match_interpreter() {
+        let flat = plan_of(
+            "input a : seq<int>; state s : int = 0; state m : int = 0;\n\
+             for i in 0 .. len(a) { s = s + a[i]; m = max(m, a[i]); }",
+        );
+        assert_eq!(fused_forms(&flat).slice_folds, 2);
+        let general = plan_of(
+            "input a : seq<int>; state d : int = 0; state last : int = 0; state seen : bool = false;\n\
+             for i in 0 .. len(a) {\n\
+               if (seen) { d = max(d, max(a[i] - last, last - a[i])); }\n\
+               last = a[i]; seen = true;\n\
+             }",
+        );
+        let cube = plan_of(
+            "input a : seq<seq<seq<int>>>; state s : int = 0; state q : int = 0;\n\
+             for i in 0 .. len(a) {\n\
+               let plane : int = 0;\n\
+               for j in 0 .. len(a[i]) {\n\
+                 for k in 0 .. len(a[i][j]) { plane = plane + a[i][j][k]; }\n\
+                 for k in 0 .. len(a[i][j]) { q = q + a[i][j][k] * a[i][j][k]; }\n\
+               }\n\
+               s = max(s + plane, 0);\n\
+             }",
+        );
+        let fused = fused_forms(&cube);
+        assert_eq!((fused.row_loops, fused.slice_folds), (2, 1), "{fused:?}");
+        for input in [
+            Value::seq_of_ints(&[3, -7, i64::MAX, 2, i64::MIN, 0, 9]),
+            Value::seq_of_ints(&[]),
+        ] {
+            engines_agree(&flat, &input).unwrap();
+            engines_agree(&general, &input).unwrap();
+        }
+        engines_agree(&cube, &input_of(3, 9, None, &small(), 11)).unwrap();
+        engines_agree(
+            &cube,
+            &Value::seq3_of_ints(&[vec![vec![i64::MAX, 2]], vec![]]),
+        )
+        .unwrap();
+    }
+
+    /// Every compilable suite benchmark source, under the fused
+    /// lowering, agrees with the interpreter on ragged, empty, wrapping
+    /// and (for pair benchmarks) too-narrow inputs, including the
+    /// out-of-bounds errors the latter raise.
+    #[test]
+    fn suite_sources_agree_under_both_engines() {
+        let small: Vec<i64> = (-9..=9).collect();
+        let limits = [i64::MAX, i64::MIN, -1, 0, 1, i64::MAX - 1];
+        let mut compiled = 0;
+        for b in parsynt::suite::all_benchmarks() {
+            let plan = plan_of(b.source);
+            let Ok(cp) = compile_plan(&plan) else {
+                continue;
+            };
+            compiled += 1;
+            let depth = cp.input_depth();
+            let pinned = (b.profile.cols.0 == b.profile.cols.1).then_some(b.profile.cols.0);
+            let choices = if b.profile.choices.is_empty() {
+                &small[..]
+            } else {
+                &b.profile.choices[..]
+            };
+            for input in [
+                input_of(depth, 13, pinned, choices, 1),
+                input_of(depth, 7, pinned, &limits, 2),
+                input_of(depth, 0, pinned, choices, 3),
+            ] {
+                // Sources that assume rectangular rows fail on ragged
+                // ones; `engines_agree` holds the errors equal too.
+                let _ = engines_agree(&plan, &input);
+            }
+            if let Some(width) = pinned {
+                // A pair benchmark's `a[i][1]` on rows one too narrow.
+                let narrow = input_of(depth, 5, Some(width - 1), choices, 5);
+                let err = engines_agree(&plan, &narrow).expect_err("rows too narrow");
+                assert!(err.contains("out of bounds"), "{}: {err}", b.id);
+            }
+        }
+        assert!(compiled >= 15, "only {compiled} suite sources compiled");
     }
 
     mod props {

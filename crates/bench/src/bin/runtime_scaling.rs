@@ -12,7 +12,9 @@
 //! Usage: `runtime_scaling [--rows N] [--threads 1,8] [--reps R]
 //!                         [--filter substring] [--json out.json]`
 //!
-//! Writes `BENCH_runtime.json` (override with `--json`).
+//! Writes `BENCH_runtime.json` (override with `--json`): the host's
+//! core count (`host.threads`, from `available_parallelism`) and one
+//! row per benchmark, engine and thread count.
 //!
 //! The default input is deliberately modest (2 000 outer rows): the
 //! tree-walking interpreter re-slices the chunk on every element access,
@@ -45,6 +47,17 @@ const DEFAULT_SET: &[&str] = &[
     "max_dist",
     "balanced_substrings",
 ];
+
+#[derive(Serialize)]
+struct Report {
+    host: Host,
+    rows: Vec<Row>,
+}
+
+#[derive(Serialize)]
+struct Host {
+    threads: usize,
+}
 
 #[derive(Serialize)]
 struct Row {
@@ -210,7 +223,13 @@ fn main() {
         }
     }
 
-    let json = serde_json::to_string_pretty(&out_rows).expect("rows serialize");
+    let report = Report {
+        host: Host {
+            threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        },
+        rows: out_rows,
+    };
+    let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&json_path, json).expect("write json");
     println!("\nwrote {json_path}");
     assert_eq!(

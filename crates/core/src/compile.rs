@@ -1,8 +1,8 @@
 //! Compilation of synthesized plans to fused native chunk kernels.
 //!
-//! The executors in [`crate::exec`] walk interpreted AST terms per
-//! element, which costs an order of magnitude in dispatch overhead at
-//! Figure-9 scale. This module lowers a [`Parallelization`] — the
+//! The interpreter-backed tasks in [`crate::exec`] walk interpreted
+//! AST terms per element, which costs an order of magnitude in dispatch
+//! overhead at Figure-9 scale. This module lowers a [`Parallelization`] — the
 //! transformed program's loop nest plus the synthesized join `⊙` — to
 //! specialized closure trees over a register file of `i64` scalars and a
 //! flattened, offset-indexed view of the main input ([`FlatInput`]), so
@@ -38,26 +38,27 @@
 //! plan shapes the Figure-9 suite produces (single `seq<int>^{1..3}`
 //! input, constant state initializers, no array-shaped state) and
 //! reports everything else as [`CompileError`], at which point
-//! [`run_plan_checked`] falls back to the interpreter and emits a
-//! `compile_fallback` trace event. The interpreter remains the semantic
+//! [`crate::run_plan_checked`] falls back to the interpreter and emits
+//! a `compile_fallback` trace event. A compiled plan runs on
+//! `parsynt_runtime::Executor` as a [`CompiledDncTask`] or
+//! [`CompiledMapOnlyTask`]. The interpreter remains the semantic
 //! oracle: compiled kernels replicate its wrapping arithmetic,
 //! short-circuit booleans, lazy conditionals and runtime error messages
 //! exactly, and the differential suites assert byte-identical results.
 
 #![warn(clippy::unwrap_used)]
 
-use crate::exec::{chunk_ranges, ExecOutcome};
+use crate::exec::PlanAcc;
 use crate::schema::{Outcome, Parallelization};
 use parsynt_lang::ast::{BinOp, Expr, Program, Stmt, Sym, UnOp};
 use parsynt_lang::error::{LangError, Result as LangResult};
 use parsynt_lang::functional::RightwardFn;
 use parsynt_lang::interp::StateVec;
 use parsynt_lang::{Ty, Value};
-use parsynt_runtime::{Engine, RunConfig};
+use parsynt_runtime::{RangeMapTask, RangeTask};
 use parsynt_trace as trace;
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Why a plan could not be compiled (the fallback reason surfaced in the
 /// `compile_fallback` trace event).
@@ -187,6 +188,11 @@ impl FlatInput {
     /// Number of outer-dimension elements.
     pub fn outer_len(&self) -> usize {
         self.n
+    }
+
+    /// Number of leaf scalars.
+    pub(crate) fn leaves(&self) -> usize {
+        self.data.len()
     }
 
     /// The nesting depth this view was flattened at.
@@ -1287,6 +1293,18 @@ impl CompiledPlan {
         )
     }
 
+    /// A kernel result as a task accumulator.
+    fn plan_acc(&self, state: std::result::Result<CState, String>) -> PlanAcc {
+        state
+            .map(|s| self.state_to_vec(&s))
+            .map_err(LangError::eval)
+    }
+
+    /// A task accumulator as a compiled state (its error passed on).
+    fn cstate(&self, acc: PlanAcc) -> LangResult<CState> {
+        self.state_from_vec(&acc?).map_err(LangError::eval)
+    }
+
     /// Convert an interpreter [`StateVec`] to a compiled state tuple.
     ///
     /// # Errors
@@ -1401,7 +1419,7 @@ pub fn compile_plan(plan: &Parallelization) -> std::result::Result<CompiledPlan,
         Outcome::MapOnly => {
             // The compiled map phase runs inner nests from the zero
             // state; sound only for (transformed) memoryless programs —
-            // same precondition as `run_map_only_checked`.
+            // same precondition as `InterpMapOnlyTask`.
             if !parsynt_lang::analysis::analyze(program).is_syntactically_memoryless() {
                 return unsupported("map-only plan over a non-memoryless program");
             }
@@ -1470,362 +1488,19 @@ pub(crate) fn emit_compile_fallback(reason: &str) {
     }
 }
 
-fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic>".to_owned()
-    }
-}
-
-fn emit_worker_panic(chunk: usize, attempt: u32, payload: &str) {
-    if trace::enabled() {
-        trace::point(
-            "execute",
-            "worker_panic",
-            &[
-                ("chunk", chunk.into()),
-                ("attempt", attempt.into()),
-                ("payload", payload.into()),
-            ],
-        );
-    }
-}
-
-fn emit_fallback(failed_chunks: usize) {
-    if trace::enabled() {
-        trace::point(
-            "execute",
-            "fallback_sequential",
-            &[("failed_chunks", failed_chunks.into())],
-        );
-    }
-}
-
-/// Execute `plan` on `inputs` under the engine selected by `run`:
-/// compiled kernels when the plan and input are covered (emitting a
-/// `compile_plan` trace event), the interpreter otherwise (emitting
-/// `compile_fallback` with the reason). Retry/degrade semantics and
-/// chunk boundaries are identical between engines, so results are
-/// byte-identical.
+/// A compiled divide-and-conquer plan as a runtime task over the rows
+/// of one flattened input.
 ///
-/// # Errors
-///
-/// Fails on unparallelizable plans and on runtime errors (identical
-/// messages for both engines).
-pub fn run_plan_checked(
-    plan: &Parallelization,
-    inputs: &[Value],
-    run: &RunConfig,
-) -> LangResult<ExecOutcome> {
-    if let Outcome::Unparallelizable { reason } = &plan.outcome {
-        return Err(LangError::eval(format!(
-            "cannot execute an unparallelizable plan ({reason})"
-        )));
-    }
-    if run.engine == Engine::Compiled {
-        match compile_plan(plan) {
-            Ok(compiled) => {
-                let flattened = inputs
-                    .get(compiled.main_index())
-                    .and_then(|v| compiled.flatten(v));
-                match flattened {
-                    Some(flat) => return run_compiled(&compiled, &flat, run.threads),
-                    None => {
-                        emit_compile_fallback("main input is not a flattenable int sequence");
-                    }
-                }
-            }
-            Err(e) => emit_compile_fallback(e.reason()),
-        }
-    }
-    match &plan.outcome {
-        Outcome::DivideAndConquer { .. } => {
-            crate::exec::run_divide_and_conquer_checked(plan, inputs, run.threads)
-        }
-        Outcome::MapOnly => crate::exec::run_map_only_checked(plan, inputs, run.threads),
-        Outcome::Unparallelizable { .. } => unreachable!("rejected above"),
-    }
-}
-
-fn run_compiled(
-    compiled: &CompiledPlan,
-    flat: &FlatInput,
-    threads: usize,
-) -> LangResult<ExecOutcome> {
-    let (state, degraded, recovered) = if compiled.is_divide_and_conquer() {
-        run_dnc_cstate(compiled, flat, threads)?
-    } else {
-        run_map_only_cstate(compiled, flat, threads, &compiled.init_state())?
-    };
-    Ok(ExecOutcome {
-        state: compiled.state_to_vec(&state),
-        degraded,
-        recovered_chunks: recovered,
-    })
-}
-
-/// Run chunk kernels over `ranges` on scoped threads with the same
-/// panic isolation as the interpreted executors: catch in the worker,
-/// retry once on the calling thread, report persistent failures. A
-/// single range runs on the calling thread (nothing to overlap), with
-/// the same catch → retry → report sequence.
-struct GuardedChunks<T> {
-    results: Vec<std::result::Result<T, String>>,
-    recovered: usize,
-    failed: usize,
-    first_failed_chunk: usize,
-}
-
-fn run_guarded_chunks<T: Send>(
-    ranges: &[(usize, usize)],
-    kernel: impl Fn(usize, usize) -> std::result::Result<T, String> + Sync,
-) -> GuardedChunks<T> {
-    let attempt = |lo, hi| {
-        catch_unwind(AssertUnwindSafe(|| kernel(lo, hi))).map_err(|p| payload_string(p.as_ref()))
-    };
-    let guarded: Vec<std::result::Result<std::result::Result<T, String>, String>> =
-        if let [(lo, hi)] = *ranges {
-            vec![attempt(lo, hi)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        let attempt = &attempt;
-                        scope.spawn(move || attempt(lo, hi))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(result) => result,
-                        Err(payload) => Err(payload_string(payload.as_ref())),
-                    })
-                    .collect()
-            })
-        };
-
-    let mut out = GuardedChunks {
-        results: Vec::with_capacity(guarded.len()),
-        recovered: 0,
-        failed: 0,
-        first_failed_chunk: 0,
-    };
-    for (chunk, (result, &(lo, hi))) in guarded.into_iter().zip(ranges).enumerate() {
-        match result {
-            Ok(value) => out.results.push(value),
-            Err(payload) => {
-                emit_worker_panic(chunk, 0, &payload);
-                match attempt(lo, hi) {
-                    Ok(value) => {
-                        out.recovered += 1;
-                        out.results.push(value);
-                    }
-                    Err(payload) => {
-                        emit_worker_panic(chunk, 1, &payload);
-                        if out.failed == 0 {
-                            out.first_failed_chunk = chunk;
-                        }
-                        out.failed += 1;
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-fn run_dnc_cstate(
-    compiled: &CompiledPlan,
-    flat: &FlatInput,
-    threads: usize,
-) -> LangResult<(CState, bool, usize)> {
-    let n = flat.outer_len();
-    if n == 0 {
-        return compiled
-            .summarize(flat, 0, 0)
-            .map(|state| (state, false, 0))
-            .map_err(LangError::eval);
-    }
-    let ranges = chunk_ranges(n, threads);
-    let mut exec_span = trace::span("execute", "compiled_divide_and_conquer");
-    exec_span.record("threads", threads);
-    trace::counter("execute", "chunks", ranges.len() as u64);
-    trace::counter("execute", "joins", ranges.len().saturating_sub(1) as u64);
-    trace::counter("execute", "kernel_elements", n as u64);
-
-    let chunks = run_guarded_chunks(&ranges, |lo, hi| compiled.summarize(flat, lo, hi));
-
-    if chunks.failed == 0 {
-        let partials = chunks.results;
-        let joined = catch_unwind(AssertUnwindSafe(
-            || -> std::result::Result<CState, String> {
-                let mut acc: Option<CState> = None;
-                for partial in partials {
-                    let partial = partial?;
-                    acc = Some(match acc {
-                        None => partial,
-                        Some(left) => compiled.join(&left, &partial)?,
-                    });
-                }
-                acc.ok_or_else(|| "empty input".to_owned())
-            },
-        ));
-        match joined {
-            Ok(state) => {
-                return state
-                    .map(|state| (state, false, chunks.recovered))
-                    .map_err(LangError::eval)
-            }
-            Err(p) => emit_worker_panic(0, 1, &payload_string(p.as_ref())),
-        }
-    }
-
-    emit_fallback(chunks.failed);
-    match catch_unwind(AssertUnwindSafe(|| compiled.summarize(flat, 0, n))) {
-        Ok(state) => state
-            .map(|state| (state, true, chunks.recovered))
-            .map_err(LangError::eval),
-        Err(p) => Err(LangError::eval(format!(
-            "worker panicked on chunk {}: {}",
-            chunks.first_failed_chunk,
-            payload_string(p.as_ref())
-        ))),
-    }
-}
-
-fn run_map_only_cstate(
-    compiled: &CompiledPlan,
-    flat: &FlatInput,
-    threads: usize,
-    from: &CState,
-) -> LangResult<(CState, bool, usize)> {
-    let n = flat.outer_len();
-    if n == 0 {
-        return Ok((from.clone(), false, 0));
-    }
-    let ranges = chunk_ranges(n, threads);
-    let mut exec_span = trace::span("execute", "compiled_map_only");
-    exec_span.record("threads", threads);
-    trace::counter("execute", "chunks", ranges.len() as u64);
-    trace::counter("execute", "kernel_elements", n as u64);
-
-    let chunks = run_guarded_chunks(&ranges, |lo, hi| compiled.map_rows(flat, lo, hi));
-
-    if chunks.failed == 0 {
-        let blocks = &chunks.results;
-        let folded = catch_unwind(AssertUnwindSafe(
-            || -> std::result::Result<CState, String> {
-                let mut state = from.clone();
-                for (block, &(lo, hi)) in blocks.iter().zip(&ranges) {
-                    let block = block.as_ref().map_err(Clone::clone)?;
-                    state = compiled.fold_rows(flat, lo, hi, block, &state)?;
-                }
-                Ok(state)
-            },
-        ));
-        match folded {
-            Ok(state) => {
-                return state
-                    .map(|state| (state, false, chunks.recovered))
-                    .map_err(LangError::eval)
-            }
-            Err(p) => emit_worker_panic(0, 1, &payload_string(p.as_ref())),
-        }
-    }
-
-    emit_fallback(chunks.failed);
-    let sequential = catch_unwind(AssertUnwindSafe(
-        || -> std::result::Result<CState, String> {
-            let mapped = compiled.map_rows(flat, 0, n)?;
-            compiled.fold_rows(flat, 0, n, &mapped, from)
-        },
-    ));
-    match sequential {
-        Ok(state) => state
-            .map(|state| (state, true, chunks.recovered))
-            .map_err(LangError::eval),
-        Err(p) => Err(LangError::eval(format!(
-            "worker panicked on chunk {}: {}",
-            chunks.first_failed_chunk,
-            payload_string(p.as_ref())
-        ))),
-    }
-}
-
-/// One stream chunk's contribution, mirroring the bookkeeping of the
-/// interpreted `push_chunk_*` paths in [`crate::stream`].
-pub(crate) struct ChunkPush {
-    pub state: StateVec,
-    pub degraded: usize,
-    pub recovered: usize,
-}
-
-/// Fold one stream chunk (given as its own [`FlatInput`]) into the
-/// running state with compiled kernels: divide-and-conquer chunks are
-/// summarized in parallel and joined onto the prefix (a panicking join
-/// retries once, then the chunk degrades to a sequential extension);
-/// map-only chunks map in parallel and continue the outer fold.
-pub(crate) fn push_chunk_compiled(
-    compiled: &CompiledPlan,
-    flat: &FlatInput,
-    threads: usize,
-    running: Option<&StateVec>,
-) -> LangResult<ChunkPush> {
-    if compiled.is_divide_and_conquer() {
-        let (chunk_state, chunk_degraded, recovered) = run_dnc_cstate(compiled, flat, threads)?;
-        let mut push = ChunkPush {
-            state: compiled.state_to_vec(&chunk_state),
-            degraded: usize::from(chunk_degraded),
-            recovered,
-        };
-        let Some(left_vec) = running else {
-            return Ok(push);
-        };
-        let left = compiled.state_from_vec(left_vec).map_err(LangError::eval)?;
-        for attempt in 0..2u32 {
-            match catch_unwind(AssertUnwindSafe(|| compiled.join(&left, &chunk_state))) {
-                Ok(joined) => {
-                    push.recovered += usize::from(attempt > 0);
-                    push.state = compiled.state_to_vec(&joined.map_err(LangError::eval)?);
-                    return Ok(push);
-                }
-                Err(_) if attempt == 0 => {}
-                Err(_) => break,
-            }
-        }
-        // Join persistently broken on this pair: extend the prefix by
-        // re-running the chunk sequentially from the running state.
-        push.degraded += 1;
-        let state = catch_unwind(AssertUnwindSafe(|| {
-            compiled.summarize_from(flat, 0, flat.outer_len(), &left)
-        }))
-        .map_err(|_| LangError::eval("sequential chunk re-run panicked"))?
-        .map_err(LangError::eval)?;
-        push.state = compiled.state_to_vec(&state);
-        Ok(push)
-    } else {
-        let from = match running {
-            Some(state) => compiled.state_from_vec(state).map_err(LangError::eval)?,
-            None => compiled.init_state(),
-        };
-        let (state, degraded, recovered) = run_map_only_cstate(compiled, flat, threads, &from)?;
-        Ok(ChunkPush {
-            state: compiled.state_to_vec(&state),
-            degraded: usize::from(degraded),
-            recovered,
-        })
-    }
-}
-
-/// A compiled divide-and-conquer plan as a [`parsynt_runtime`] task:
-/// items are outer-dimension row ids (must form contiguous ascending
-/// runs, as produced by the runtime's chunkers over `0..n`), the
-/// accumulator is the compiled state. Kernel runtime errors panic so
-/// the runtime's retry/degrade path treats them like any worker fault.
+/// As a [`RangeTask`] — how [`crate::run_plan_checked`] and plan
+/// streaming run it — chunks are row ranges and the accumulator is a
+/// [`PlanAcc`], the interpreter's state vector or the first runtime
+/// error in input order, so compiled and interpreted chunks join
+/// interchangeably. As a slice [`parsynt_runtime::DncTask`], items are
+/// row ids (contiguous ascending runs, as [`CompiledDncTask::items`]
+/// lists them), the accumulator is the compiled state, and kernel
+/// runtime errors panic; the slice form and `items` are kept only for
+/// the end-to-end benchmark's kernel timing (`e2ebench`), which calls
+/// them, and go when it moves to the range form.
 pub struct CompiledDncTask<'a> {
     compiled: &'a CompiledPlan,
     flat: &'a FlatInput,
@@ -1839,9 +1514,40 @@ impl<'a> CompiledDncTask<'a> {
             .then_some(CompiledDncTask { compiled, flat })
     }
 
-    /// The item ids to execute over: `0..outer_len`.
+    /// The row ids the slice form executes over: `0..outer_len` (one
+    /// `u64` a row; the range form needs none).
     pub fn items(&self) -> Vec<u64> {
         (0..self.flat.outer_len() as u64).collect()
+    }
+}
+
+impl RangeTask for CompiledDncTask<'_> {
+    type Acc = PlanAcc;
+
+    fn len(&self) -> usize {
+        self.flat.outer_len()
+    }
+
+    fn leaves(&self) -> usize {
+        self.flat.leaves()
+    }
+
+    fn work(&self, lo: usize, hi: usize) -> PlanAcc {
+        self.compiled
+            .plan_acc(self.compiled.summarize(self.flat, lo, hi))
+    }
+
+    fn join(&self, left: PlanAcc, right: PlanAcc) -> PlanAcc {
+        let (left, right) = (self.compiled.cstate(left)?, self.compiled.cstate(right)?);
+        self.compiled.plan_acc(self.compiled.join(&left, &right))
+    }
+
+    fn resume(&self, prefix: &PlanAcc, lo: usize, hi: usize) -> Option<PlanAcc> {
+        let state = match self.compiled.cstate(prefix.clone()) {
+            Ok(from) => self.compiled.summarize_from(self.flat, lo, hi, &from),
+            Err(e) => return Some(Err(e)),
+        };
+        Some(self.compiled.plan_acc(state))
     }
 }
 
@@ -1873,9 +1579,10 @@ impl parsynt_runtime::DncTask for CompiledDncTask<'_> {
     }
 }
 
-/// A compiled map-only plan as a [`parsynt_runtime`] task: items are
-/// row ids, the mapped value is the row's inner-accumulator tuple, and
-/// the fold is the compiled outer phase.
+/// A compiled map-only plan as a runtime task over the rows of one
+/// flattened input: a block is the mapped rows' inner-accumulator
+/// values, the fold is the compiled outer phase, and the accumulator is
+/// a [`PlanAcc`].
 pub struct CompiledMapOnlyTask<'a> {
     compiled: &'a CompiledPlan,
     flat: &'a FlatInput,
@@ -1886,39 +1593,29 @@ impl<'a> CompiledMapOnlyTask<'a> {
     pub fn new(compiled: &'a CompiledPlan, flat: &'a FlatInput) -> Option<Self> {
         (!compiled.is_divide_and_conquer()).then_some(CompiledMapOnlyTask { compiled, flat })
     }
-
-    /// The item ids to execute over: `0..outer_len`.
-    pub fn items(&self) -> Vec<u64> {
-        (0..self.flat.outer_len() as u64).collect()
-    }
 }
 
-impl parsynt_runtime::MapOnlyTask for CompiledMapOnlyTask<'_> {
-    type Item = u64;
-    type Mapped = (u64, Vec<i64>);
-    type Acc = CState;
+impl RangeMapTask for CompiledMapOnlyTask<'_> {
+    type Block = std::result::Result<Vec<i64>, String>;
+    type Acc = PlanAcc;
 
-    fn init(&self) -> CState {
-        self.compiled.init_state()
+    fn len(&self) -> usize {
+        self.flat.outer_len()
     }
 
-    fn map(&self, item: &u64) -> (u64, Vec<i64>) {
-        let i = *item as usize;
-        match self.compiled.map_rows(self.flat, i, i + 1) {
-            Ok(mapped) => (*item, mapped),
-            Err(msg) => panic!("compiled kernel error: {msg}"),
-        }
+    fn init(&self) -> PlanAcc {
+        self.compiled.plan_acc(Ok(self.compiled.init_state()))
     }
 
-    fn fold(&self, acc: CState, mapped: (u64, Vec<i64>)) -> CState {
-        let i = mapped.0 as usize;
-        match self
-            .compiled
-            .fold_rows(self.flat, i, i + 1, &mapped.1, &acc)
-        {
-            Ok(state) => state,
-            Err(msg) => panic!("compiled fold error: {msg}"),
-        }
+    fn map(&self, lo: usize, hi: usize) -> Self::Block {
+        self.compiled.map_rows(self.flat, lo, hi)
+    }
+
+    fn fold(&self, acc: PlanAcc, lo: usize, hi: usize, block: Self::Block) -> PlanAcc {
+        let from = self.compiled.cstate(acc)?;
+        let state =
+            block.and_then(|block| self.compiled.fold_rows(self.flat, lo, hi, &block, &from));
+        self.compiled.plan_acc(state)
     }
 }
 
@@ -1926,8 +1623,10 @@ impl parsynt_runtime::MapOnlyTask for CompiledMapOnlyTask<'_> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::exec::run_plan_checked;
     use crate::testplans;
     use parsynt_lang::interp::run_program;
+    use parsynt_runtime::{Engine, RunConfig};
 
     fn rows(n: usize) -> Vec<Vec<i64>> {
         (0..n)
@@ -2079,16 +1778,17 @@ mod tests {
         let input = Value::seq2_of_ints(&rows(17));
         let flat = compiled.flatten(&input).unwrap();
         let whole = compiled.summarize(&flat, 0, 17).unwrap();
-        for parts in [1, 2, 5, 17] {
+        for size in [17, 9, 4, 1] {
             let mut acc: Option<CState> = None;
-            for (lo, hi) in chunk_ranges(17, parts) {
+            for lo in (0..17).step_by(size) {
+                let hi = (lo + size).min(17);
                 let part = compiled.summarize(&flat, lo, hi).unwrap();
                 acc = Some(match acc {
                     None => part,
                     Some(left) => compiled.join(&left, &part).unwrap(),
                 });
             }
-            assert_eq!(acc.unwrap(), whole, "parts = {parts}");
+            assert_eq!(acc.unwrap(), whole, "size = {size}");
         }
     }
 
@@ -2156,34 +1856,5 @@ mod tests {
             assert_eq!(fused.row_loops, 0);
             assert_eq!((fold_j, general_j, generic_j), (j, j, j), "{rows:?}");
         }
-    }
-
-    #[test]
-    fn single_chunk_runs_on_the_caller_with_retry_and_failure() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let caller = std::thread::current().id();
-        let calls = AtomicUsize::new(0);
-        // Panics on the first attempt only: recovered by the retry.
-        let flaky = run_guarded_chunks(&[(0, 4)], |lo, hi| {
-            assert_eq!(std::thread::current().id(), caller);
-            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("injected");
-            }
-            Ok(hi - lo)
-        });
-        assert_eq!((flaky.recovered, flaky.failed), (1, 0));
-        assert_eq!(flaky.results, vec![Ok(4)]);
-        // Panics on every attempt: reported as failed after the retry.
-        let broken = run_guarded_chunks(&[(0, 4)], |_, _| -> std::result::Result<usize, String> {
-            panic!("always")
-        });
-        assert_eq!((broken.recovered, broken.failed), (0, 1));
-        assert!(broken.results.is_empty());
-        // Several ranges still run on workers, one per range.
-        let spread = run_guarded_chunks(&[(0, 2), (2, 5)], |lo, hi| {
-            assert_ne!(std::thread::current().id(), caller);
-            Ok(hi - lo)
-        });
-        assert_eq!(spread.results, vec![Ok(2), Ok(3)]);
     }
 }

@@ -36,10 +36,16 @@
 //! ([`RunConfig`] for [`PipelineReport::execute`]) and tracing
 //! ([`parsynt_trace::TraceConfig`]).
 //!
+//! Synthesized plans execute on [`parsynt_runtime::Executor`]
+//! ([`run_plan_checked`], [`PipelineReport::execute`]) as one of four
+//! range tasks — [`CompiledDncTask`] / [`CompiledMapOnlyTask`] (fused
+//! native kernels) or [`InterpDncTask`] / [`InterpMapOnlyTask`] (the
+//! interpreter) — so the config's backend, thread count and grain
+//! apply, and the runtime's retry/degrade path is the only one.
+//!
 //! The pre-0.2 free functions (`schema::parallelize`,
-//! `schema::parallelize_with`, `proof::check_homomorphism_law`) remain
-//! as deprecated module-level shims over the same schema body; they are
-//! no longer re-exported at the crate root.
+//! `schema::parallelize_with`, `proof::check_homomorphism_law`) were
+//! removed in 0.6; use the [`Pipeline`] builder.
 
 pub mod budget;
 pub mod cache;
@@ -56,12 +62,12 @@ mod testplans;
 pub use budget::{budget_of, validate_budget, Budget};
 pub use cache::{CacheStats, CachedSolution, SolutionCache};
 pub use compile::{
-    compile_plan, run_plan_checked, CState, CompileError, CompiledDncTask, CompiledMapOnlyTask,
-    CompiledPlan, FlatInput,
+    compile_plan, CState, CompileError, CompiledDncTask, CompiledMapOnlyTask, CompiledPlan,
+    FlatInput,
 };
 pub use exec::{
-    run_divide_and_conquer, run_divide_and_conquer_checked, run_map_only, run_map_only_checked,
-    ExecOutcome,
+    run_divide_and_conquer, run_map_only, run_plan_checked, ExecOutcome, InterpDncTask,
+    InterpMapOnlyTask, PlanAcc,
 };
 pub use fingerprint::{fingerprint, fingerprint_hex};
 pub use parsynt_runtime::{Backend, Engine, RunConfig};

@@ -1,8 +1,8 @@
 //! The [`Pipeline`] builder — the observable entry point to the
 //! Figure-7 schema.
 //!
-//! Where the deprecated free functions ran the schema and returned only
-//! the [`Parallelization`], a `Pipeline` run also *observes* it: every
+//! A `Pipeline` run returns the [`Parallelization`] and also *observes*
+//! it: every
 //! instrumented stage (rewrite-rule firings, enumerator candidates,
 //! CEGIS rounds, lifting attempts, per-phase wall clock) is streamed as
 //! [`parsynt_trace`] events to an optional user sink and folded into the
@@ -32,7 +32,7 @@
 //! `cache.hit` counter and no synthesis phase timings.
 
 use crate::cache::{CachedSolution, SolutionCache};
-use crate::compile::run_plan_checked;
+use crate::exec::run_plan_checked;
 use crate::fingerprint::{fingerprint, fingerprint_hex};
 use crate::proof::homomorphism_law_checks;
 use crate::schema::{run_schema, Outcome, Parallelization, Report};

@@ -22,27 +22,13 @@ use rand::{Rng, SeedableRng};
 
 /// Randomly check the homomorphism law `h(x • y) = h(x) ⊙ h(y)` for a
 /// divide-and-conquer parallelization over `tests` random inputs and
-/// split points. Returns the number of checks performed.
+/// split points (`PipelineReport::check_homomorphism`). Returns the
+/// number of checks performed.
 ///
 /// # Errors
 ///
 /// Fails on the first violated instance (with a description), on
 /// interpreter errors, or if the plan is not divide-and-conquer.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `PipelineReport::check_homomorphism(tests)` on the result of a `Pipeline` run"
-)]
-pub fn check_homomorphism_law(
-    parallelization: &Parallelization,
-    profile: &InputProfile,
-    tests: usize,
-    seed: u64,
-) -> Result<usize> {
-    homomorphism_law_checks(parallelization, profile, tests, seed)
-}
-
-/// Implementation shared by [`check_homomorphism_law`] and
-/// `PipelineReport::check_homomorphism`.
 pub(crate) fn homomorphism_law_checks(
     parallelization: &Parallelization,
     profile: &InputProfile,
@@ -239,7 +225,7 @@ pub fn check_homomorphism_law_exhaustive(
 /// homomorphism lemma, the auxiliary-invariant lemmas, and the generic
 /// vector lemmas. The output is documentation-grade Dafny-like text (no
 /// Dafny toolchain is available offline); the bounded analogue is
-/// [`check_homomorphism_law`].
+/// `PipelineReport::check_homomorphism`.
 pub fn proof_obligations(parallelization: &Parallelization) -> String {
     let program = &parallelization.program;
     let mut out = String::new();

@@ -126,39 +126,6 @@ impl Parallelization {
     }
 }
 
-/// Run the full schema with default input profile and synthesis budget.
-///
-/// # Errors
-///
-/// Propagates interpreter/program errors; *failure to parallelize* is an
-/// [`Outcome`], not an error.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Pipeline::new(program).run()` and read `.parallelization`"
-)]
-pub fn parallelize(program: &Program) -> Result<Parallelization> {
-    run_schema(program, &InputProfile::default(), &SynthConfig::default())
-}
-
-/// Run the full schema with an explicit input profile (shape/value
-/// distribution for bounded verification) and synthesis configuration.
-///
-/// # Errors
-///
-/// Propagates interpreter/program errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Pipeline::new(program).configure(PipelineConfig::default()\
-            .with_profile(..).with_synth(..)).run()`"
-)]
-pub fn parallelize_with(
-    program: &Program,
-    profile: &InputProfile,
-    cfg: &SynthConfig,
-) -> Result<Parallelization> {
-    run_schema(program, profile, cfg)
-}
-
 /// Record a deadline exhaustion as a trace point and build the
 /// human-readable `Unparallelizable` reason for it.
 fn emit_deadline_exceeded(candidates: usize) -> String {
@@ -186,8 +153,7 @@ fn emit_outcome(outcome: &Outcome) {
     }
 }
 
-/// The Figure-7 schema body, shared by [`crate::Pipeline`] and the
-/// deprecated free-function entry points.
+/// The Figure-7 schema body behind [`crate::Pipeline`].
 pub(crate) fn run_schema(
     program: &Program,
     profile: &InputProfile,

@@ -1,43 +1,42 @@
-//! Streaming execution of a synthesized parallelization through the
-//! interpreter: online aggregation over chunks of the main input.
+//! Streaming execution of a synthesized parallelization: online
+//! aggregation over chunks of the main input, in one runtime streaming
+//! session ([`parsynt_runtime::Executor::stream_ranges`]).
 //!
 //! Divide-and-conquer plans stream by the homomorphism law — each chunk
-//! is summarized in parallel with [`run_divide_and_conquer_checked`] and
-//! folded into the running state with the synthesized join ⊙, so the
-//! state after chunk *k* equals the sequential run over the first *k*
-//! chunks' concatenation. Map-only plans (Prop. 4.3) have no join, but
-//! their inner nests are memoryless: each chunk's rows map in parallel
-//! from the zero state and the sequential outer fold simply continues
-//! from the running state.
+//! is summarized in parallel and joined onto the running state with the
+//! synthesized join ⊙, so the state after chunk *k* equals the
+//! sequential run over the first *k* chunks' concatenation. Map-only
+//! plans (Prop. 4.3) have no join, but their inner nests are
+//! memoryless: each chunk's rows map in parallel from the zero state
+//! and the sequential outer fold simply continues from the running
+//! state.
 //!
-//! Faults stay chunk-local: a panic inside a chunk is retried and then
-//! degraded by the per-chunk executor; a panicking join (or fold)
-//! degrades *that stream chunk only* to a sequential re-run of its rows
-//! from the running state via [`run_program_from`] — the end-of-input
-//! state is byte-identical to the batch path either way.
+//! Faults stay chunk-local, and their recovery is the runtime's: a
+//! panic inside a chunk is retried and then degraded by the executor; a
+//! join that keeps panicking degrades *that stream chunk only* to a
+//! sequential re-run of its rows from the running state — the
+//! end-of-input state is byte-identical to the batch path either way.
 //!
-//! The engine in the [`RunConfig`] selects how chunks are summarized:
-//! [`Engine::Compiled`] (the default) lowers the plan once with
-//! [`crate::compile::compile_plan`] and folds every chunk with fused
-//! native kernels, falling back to the interpreter — for the whole
-//! stream on uncompilable plans, per-chunk on unflattenable inputs —
-//! with a `compile_fallback` trace event; [`Engine::Interp`] forces the
-//! interpreter. Chunk boundaries, retry/degrade bookkeeping and
-//! snapshots are identical, so both engines stream byte-identical
-//! states.
+//! The engine in the [`RunConfig`] selects each chunk's task as
+//! [`crate::run_plan_checked`] does: compiled kernels when the plan
+//! compiles (once per stream) and the chunk's main input flattens, the
+//! interpreter otherwise — for the whole stream on uncompilable plans,
+//! per chunk on unflattenable inputs — with a `compile_fallback` trace
+//! event. All tasks share one accumulator type, so both engines stream
+//! byte-identical states and snapshots.
 
-use crate::compile::{compile_plan, emit_compile_fallback, push_chunk_compiled};
-use crate::exec::{chunk_ranges, run_divide_and_conquer_checked};
+use crate::compile::{emit_compile_fallback, CompiledDncTask, CompiledMapOnlyTask};
+use crate::exec::{
+    compile_for, main_rows, runtime_error, InterpDncTask, InterpMapOnlyTask, PlanAcc,
+};
 use crate::schema::{Outcome, Parallelization};
 use parsynt_lang::error::{LangError, Result};
 use parsynt_lang::functional::RightwardFn;
-use parsynt_lang::interp::{init_env, read_state, run_program_from, StateVec};
+use parsynt_lang::interp::StateVec;
 use parsynt_lang::Value;
-use parsynt_runtime::{Engine, RunConfig};
-use parsynt_synth::join::apply_join;
+use parsynt_runtime::{Executor, RunConfig};
 use parsynt_trace as trace;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A progressive partial-prefix result of a streaming execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,43 +101,26 @@ pub fn chunk_value_inputs(
     chunk_rows: usize,
 ) -> Result<Vec<Vec<Value>>> {
     let f = RightwardFn::new(&parallelization.program)?;
-    let main = f.main_input();
-    let n = inputs[main]
-        .len()
-        .ok_or_else(|| LangError::eval("main input is not a sequence"))?;
+    let n = main_rows(&f, inputs)?;
     let chunk_rows = chunk_rows.max(1);
-    let mut out = Vec::with_capacity(n.div_ceil(chunk_rows).max(1));
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo + chunk_rows).min(n);
-        let chunk = inputs
-            .iter()
-            .enumerate()
-            .map(|(k, v)| {
-                if k == main {
-                    v.slice(lo, hi)
-                } else {
-                    v.clone()
-                }
-            })
-            .collect();
-        out.push(chunk);
-        lo = hi;
-    }
-    Ok(out)
+    (0..n)
+        .step_by(chunk_rows)
+        .map(|lo| f.slice_inputs(inputs, lo, (lo + chunk_rows).min(n)))
+        .collect()
 }
 
 /// Execute a parallelization as an online aggregation over an iterator
 /// of chunked input sets (see [`chunk_value_inputs`] for the in-memory
-/// chunker). After every `snapshot_every`-th chunk (0 = never) the
-/// running prefix state is handed to `on_snapshot`. The engine and
-/// thread count come from `run` (see the module docs for the
-/// compiled-vs-interpreter dispatch).
+/// chunker). Every chunk picks its task as [`crate::run_plan_checked`]
+/// does and is pushed into one session of an executor built from `run`
+/// ([`Executor::stream_ranges`]).
+/// After every `snapshot_every`-th chunk (0 = never) the running prefix
+/// state is handed to `on_snapshot`.
 ///
 /// # Errors
 ///
 /// Fails on an unparallelizable plan, an empty stream (input-dependent
-/// initializers leave no defined state), any interpreter error, or when
+/// initializers leave no defined state), any runtime error, or when
 /// even a chunk's sequential re-run panics.
 pub fn run_stream_checked<I, F>(
     parallelization: &Parallelization,
@@ -154,294 +136,84 @@ where
     if parallelization.is_unparallelizable() {
         return Err(LangError::eval("not a parallelizable plan"));
     }
-    let threads = run.threads;
-    let program = &parallelization.program;
-    let f = RightwardFn::new(program)?;
+    let f = RightwardFn::new(&parallelization.program)?;
     let main = f.main_input();
-    let compiled = if run.engine == Engine::Compiled {
-        match compile_plan(parallelization) {
-            Ok(cp) => Some(cp),
-            Err(e) => {
-                emit_compile_fallback(e.reason());
-                None
-            }
-        }
-    } else {
-        None
-    };
-    let mut exec_span = trace::span(
-        "execute",
+    let compiled = compile_for(parallelization, &run);
+    let mut span = trace::span("execute", "run_stream");
+    span.record(
+        "engine",
         if compiled.is_some() {
-            "compiled_stream"
+            "compiled"
         } else {
-            "interp_stream"
+            "interp"
         },
     );
-    exec_span.record("threads", threads);
-
-    let started = Instant::now();
-    let mut running: Option<StateVec> = None;
-    let mut stats = StreamStats::default();
+    // The running state before any chunk: an empty stream leaves
+    // input-dependent initializers undefined.
+    let empty: PlanAcc = Err(LangError::eval(
+        "empty stream: no elements consumed, so the state is undefined",
+    ));
+    let exec = Executor::new(run);
+    let mut stream = exec.stream_ranges(empty);
+    let mut snapshots = 0usize;
 
     for chunk_inputs in chunks {
-        let n = chunk_inputs[main]
-            .len()
-            .ok_or_else(|| LangError::eval("main input is not a sequence"))?;
-        if n == 0 {
+        let rows = main_rows(&f, &chunk_inputs)?;
+        if rows == 0 {
             continue;
         }
         let flat = compiled
             .as_ref()
             .and_then(|cp| cp.flatten(&chunk_inputs[main]));
-        let state = match (&compiled, flat) {
-            (Some(cp), Some(flat)) => {
-                let push = push_chunk_compiled(cp, &flat, threads, running.as_ref())?;
-                stats.degraded_chunks += push.degraded;
-                stats.recovered_chunks += push.recovered;
-                push.state
-            }
-            (compiled, _) => {
-                if compiled.is_some() {
-                    emit_compile_fallback("main input is not a flattenable int sequence");
-                }
-                push_chunk_interp(
-                    parallelization,
-                    &f,
-                    &chunk_inputs,
-                    threads,
-                    &running,
-                    &mut stats,
-                )?
-            }
-        };
-        stats.chunks += 1;
-        stats.elements += n as u64;
-        if trace::enabled() {
-            trace::point(
-                "execute",
-                "stream_chunk",
-                &[
-                    ("chunk", (stats.chunks - 1).into()),
-                    ("items", n.into()),
-                    ("degraded", (stats.degraded_chunks > 0).into()),
-                ],
-            );
-            trace::counter("execute", "stream_elements", n as u64);
+        if compiled.is_some() && flat.is_none() {
+            emit_compile_fallback("main input is not a flattenable int sequence");
         }
-        if snapshot_every > 0 && stats.chunks % snapshot_every == 0 {
-            let snap = StreamSnapshot {
-                chunks: stats.chunks,
-                elements: stats.elements,
-                state: state.clone(),
-                elapsed: started.elapsed(),
-                degraded_chunks: stats.degraded_chunks,
-                recovered_chunks: stats.recovered_chunks,
-            };
-            if trace::enabled() {
-                trace::point(
-                    "execute",
-                    "stream_snapshot",
-                    &[
-                        ("chunks", snap.chunks.into()),
-                        ("elements", snap.elements.into()),
-                        ("elements_per_sec", (snap.elements_per_sec() as u64).into()),
-                    ],
-                );
-            }
-            on_snapshot(&snap);
-            stats.snapshots += 1;
-        }
-        running = Some(state);
-    }
-
-    let state = running.ok_or_else(|| {
-        LangError::eval("empty stream: no elements consumed, so the state is undefined")
-    })?;
-    Ok(StreamExecOutcome {
-        state,
-        chunks: stats.chunks,
-        elements: stats.elements,
-        elapsed: started.elapsed(),
-        degraded_chunks: stats.degraded_chunks,
-        recovered_chunks: stats.recovered_chunks,
-        snapshots: stats.snapshots,
-    })
-}
-
-#[derive(Default)]
-struct StreamStats {
-    chunks: usize,
-    elements: u64,
-    degraded_chunks: usize,
-    recovered_chunks: usize,
-    snapshots: usize,
-}
-
-/// Dispatch one chunk to the interpreted per-outcome push (the whole
-/// stream under [`Engine::Interp`]; single chunks whose input did not
-/// flatten under [`Engine::Compiled`]).
-fn push_chunk_interp(
-    parallelization: &Parallelization,
-    f: &RightwardFn,
-    chunk_inputs: &[Value],
-    threads: usize,
-    running: &Option<StateVec>,
-    stats: &mut StreamStats,
-) -> Result<StateVec> {
-    match &parallelization.outcome {
-        Outcome::DivideAndConquer { join, vocab } => push_chunk_dnc(
-            parallelization,
-            join,
-            vocab,
-            chunk_inputs,
-            threads,
-            running.as_ref(),
-            stats,
-        ),
-        Outcome::MapOnly => push_chunk_map_only(
-            &parallelization.program,
-            f,
-            chunk_inputs,
-            threads,
-            running.clone(),
-            stats,
-        ),
-        Outcome::Unparallelizable { .. } => unreachable!("rejected before streaming"),
-    }
-}
-
-/// Summarize one chunk in parallel and extend the running state with the
-/// synthesized join. A panicking join retries once; a second panic
-/// degrades this chunk to a sequential extension from the running state.
-fn push_chunk_dnc(
-    parallelization: &Parallelization,
-    join: &parsynt_synth::join::SynthesizedJoin,
-    vocab: &parsynt_synth::join::JoinVocab,
-    chunk_inputs: &[Value],
-    threads: usize,
-    running: Option<&StateVec>,
-    stats: &mut StreamStats,
-) -> Result<StateVec> {
-    let program = &parallelization.program;
-    let out = run_divide_and_conquer_checked(parallelization, chunk_inputs, threads)?;
-    stats.degraded_chunks += usize::from(out.degraded);
-    stats.recovered_chunks += out.recovered_chunks;
-    let Some(left) = running else {
-        return Ok(out.state);
-    };
-    for attempt in 0..2u32 {
-        match catch_unwind(AssertUnwindSafe(|| {
-            apply_join(program, vocab, join, left, &out.state)
-        })) {
-            Ok(joined) => {
-                stats.recovered_chunks += usize::from(attempt > 0);
-                return joined;
-            }
-            Err(_) if attempt == 0 => {}
-            Err(_) => break,
-        }
-    }
-    // Join is persistently broken on this pair: extend the prefix by
-    // re-running the loop body over this chunk's rows sequentially.
-    stats.degraded_chunks += 1;
-    catch_unwind(AssertUnwindSafe(|| {
-        run_program_from(program, chunk_inputs, left)
-    }))
-    .unwrap_or_else(|_| Err(LangError::eval("sequential chunk re-run panicked")))
-}
-
-/// Map one chunk's rows in parallel from the zero state, then continue
-/// the sequential outer fold from the running state. Any persistent
-/// failure degrades this chunk to a sequential re-run of its rows.
-fn push_chunk_map_only(
-    program: &parsynt_lang::Program,
-    f: &RightwardFn,
-    chunk_inputs: &[Value],
-    threads: usize,
-    running: Option<StateVec>,
-    stats: &mut StreamStats,
-) -> Result<StateVec> {
-    // The map phase runs inner nests from the zero state — only sound
-    // for the (transformed) memoryless program.
-    let analysis = parsynt_lang::analysis::analyze(program);
-    if !analysis.is_syntactically_memoryless() {
-        return Err(LangError::eval(
-            "streaming map-only requires a memoryless program (run the schema first)",
-        ));
-    }
-    let running = match running {
-        Some(state) => state,
-        // First chunk: the initial outer state comes from the program's
-        // initializers evaluated against this chunk's inputs.
-        None => {
-            let env = init_env(program, chunk_inputs)?;
-            read_state(program, &env)?
-        }
-    };
-    let n = chunk_inputs[f.main_input()].len().unwrap_or_default();
-    type InnerBlock = Result<Vec<parsynt_lang::functional::InnerResult>>;
-    let map_chunk = |lo: usize, hi: usize| -> InnerBlock {
-        (lo..hi)
-            .map(|i| f.inner_phase_from_zero(chunk_inputs, i))
-            .collect()
-    };
-    let ranges = chunk_ranges(n, threads);
-    let guarded: Vec<std::result::Result<InnerBlock, ()>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                let map_chunk = &map_chunk;
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| map_chunk(lo, hi))).map_err(drop)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or(Err(())))
-            .collect()
-    });
-
-    let mut failed = false;
-    let mut blocks: Vec<InnerBlock> = Vec::with_capacity(guarded.len());
-    for (result, &(lo, hi)) in guarded.into_iter().zip(&ranges) {
-        match result {
-            Ok(block) => blocks.push(block),
-            Err(()) => match catch_unwind(AssertUnwindSafe(|| map_chunk(lo, hi))) {
-                Ok(block) => {
-                    stats.recovered_chunks += 1;
-                    blocks.push(block);
-                }
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
+        let pushed = match (&compiled, &flat) {
+            (Some(cp), Some(flat)) => match CompiledDncTask::new(cp, flat) {
+                Some(task) => stream.push(&task),
+                None => match CompiledMapOnlyTask::new(cp, flat) {
+                    Some(task) => stream.push_map(&task),
+                    None => unreachable!("a compiled plan is divide-and-conquer or map-only"),
+                },
             },
-        }
-    }
-
-    if !failed {
-        let folded = catch_unwind(AssertUnwindSafe(|| -> Result<StateVec> {
-            let mut state = running.clone();
-            let mut i = 0usize;
-            for block in blocks {
-                for inner in block? {
-                    state = f.outer_phase_from(chunk_inputs, i, &state, &inner)?;
-                    i += 1;
+            _ => match &parallelization.outcome {
+                Outcome::DivideAndConquer { .. } => {
+                    stream.push(&InterpDncTask::new(parallelization, &chunk_inputs)?)
                 }
-            }
-            Ok(state)
-        }));
-        if let Ok(state) = folded {
-            return state;
+                _ => stream.push_map(&InterpMapOnlyTask::new(
+                    &parallelization.program,
+                    &chunk_inputs,
+                )?),
+            },
+        };
+        pushed.map_err(runtime_error)?;
+        if let Err(e) = stream.value() {
+            return Err(e.clone());
+        }
+        if snapshot_every > 0 && stream.chunks() % snapshot_every == 0 {
+            let snap = stream.snapshot();
+            on_snapshot(&StreamSnapshot {
+                chunks: snap.chunks,
+                elements: snap.elements,
+                state: snap.value?,
+                elapsed: snap.elapsed,
+                degraded_chunks: snap.degraded_chunks,
+                recovered_chunks: snap.recovered_chunks,
+            });
+            snapshots += 1;
         }
     }
 
-    stats.degraded_chunks += 1;
-    catch_unwind(AssertUnwindSafe(|| {
-        run_program_from(program, chunk_inputs, &running)
-    }))
-    .unwrap_or_else(|_| Err(LangError::eval("sequential chunk re-run panicked")))
+    let out = stream.finish();
+    Ok(StreamExecOutcome {
+        state: out.value?,
+        chunks: out.chunks,
+        elements: out.elements,
+        elapsed: out.elapsed,
+        degraded_chunks: out.degraded_chunks,
+        recovered_chunks: out.recovered_chunks,
+        snapshots,
+    })
 }
 
 #[cfg(test)]
@@ -449,6 +221,7 @@ mod tests {
     use super::*;
     use crate::testplans;
     use parsynt_lang::interp::run_program;
+    use parsynt_runtime::Engine;
 
     #[test]
     fn chunks_equal_the_whole_input_set_with_a_sliced_main_input() {

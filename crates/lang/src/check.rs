@@ -20,6 +20,7 @@ struct Scopes {
 struct Binding {
     ty: Ty,
     assignable: bool,
+    counter: bool,
 }
 
 impl Scopes {
@@ -32,10 +33,21 @@ impl Scopes {
     }
 
     fn declare(&mut self, sym: Sym, ty: Ty, assignable: bool) {
+        self.bind(
+            sym,
+            Binding {
+                ty,
+                assignable,
+                counter: false,
+            },
+        );
+    }
+
+    fn bind(&mut self, sym: Sym, binding: Binding) {
         self.frames
             .last_mut()
             .expect("at least one scope frame")
-            .insert(sym, Binding { ty, assignable });
+            .insert(sym, binding);
     }
 
     fn lookup(&self, sym: Sym) -> Option<&Binding> {
@@ -162,8 +174,22 @@ impl Checker<'_> {
                         "loop bound must be `int`, found `{bound_ty}`"
                     )));
                 }
+                // A counter may shadow an outer counter, but not an
+                // input, state variable or local: the loop would hide
+                // (and, in the interpreter, unbind) it.
+                if self.scopes.lookup(*var).is_some_and(|b| !b.counter) {
+                    return Err(LangError::ty(format!(
+                        "loop counter `{}` shadows a variable of the same name",
+                        self.program.name(*var)
+                    )));
+                }
                 self.scopes.push();
-                self.scopes.declare(*var, Ty::Int, false);
+                let counter = Binding {
+                    ty: Ty::Int,
+                    assignable: false,
+                    counter: true,
+                };
+                self.scopes.bind(*var, counter);
                 for stmt in body {
                     self.check_stmt(stmt)?;
                 }
@@ -422,6 +448,34 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("undeclared"));
+    }
+
+    #[test]
+    fn loop_counter_must_not_shadow_state_or_input() {
+        let err = parse(
+            "input a : seq<seq<int>>; state j : int = 7;\n\
+             for i in 0 .. len(a) { for j in 0 .. len(a[i]) { } }",
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("loop counter `j` shadows"),
+            "{err}"
+        );
+        let err = parse(
+            "input a : seq<int>; state s : int = 0;\n\
+             for a in 0 .. 3 { s = s + 1; }",
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("loop counter `a` shadows"),
+            "{err}"
+        );
+        // Shadowing an outer loop counter stays allowed.
+        assert!(parse(
+            "input a : seq<seq<int>>; state s : int = 0;\n\
+             for i in 0 .. len(a) { for i in 0 .. len(a[i]) { s = s + i; } }"
+        )
+        .is_ok());
     }
 
     #[test]

@@ -204,10 +204,16 @@ impl<'p> RightwardFn<'p> {
         crate::interp::run_program_from(self.program, &sliced, init)
     }
 
-    fn slice_inputs(&self, inputs: &[Value], lo: usize, hi: usize) -> Result<Vec<Value>> {
-        let mut out = inputs.to_vec();
-        let main = out
-            .get_mut(self.main_input)
+    /// The inputs with the main one replaced by its `lo..hi` slice; only
+    /// the slice and the other inputs are copied.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the main input is missing, is not a sequence, or is
+    /// shorter than `hi`.
+    pub fn slice_inputs(&self, inputs: &[Value], lo: usize, hi: usize) -> Result<Vec<Value>> {
+        let main = inputs
+            .get(self.main_input)
             .ok_or_else(|| LangError::eval("missing main input"))?;
         let len = main
             .len()
@@ -217,8 +223,17 @@ impl<'p> RightwardFn<'p> {
                 "slice {lo}..{hi} out of bounds (len {len})"
             )));
         }
-        *main = main.slice(lo, hi);
-        Ok(out)
+        Ok(inputs
+            .iter()
+            .enumerate()
+            .map(|(k, v)| {
+                if k == self.main_input {
+                    v.slice(lo, hi)
+                } else {
+                    v.clone()
+                }
+            })
+            .collect())
     }
 
     /// One full outer step `s ⊕ a_i`: run the entire outer body for

@@ -1,19 +1,19 @@
 //! The parallel executors: work-stealing and static scheduling, behind
 //! the unified [`Executor`] entry point.
 //!
-//! All chunk and join work runs panic-isolated: a panicking worker is
-//! caught ([`std::panic::catch_unwind`]), its chunk retried once on the
-//! calling thread, and if the retry fails too the whole plan degrades to
-//! a sequential re-execution — reported via [`RunOutcome::degraded`].
-//!
-//! Since 0.4.0 every execution mode is a method on [`Executor`]
-//! (`run`, `run_map_only`, `reduce_tree`, and the streaming
-//! [`Executor::stream`] / [`Executor::run_stream`] sessions of
-//! [`crate::stream`]); the nine pre-0.4 free functions remain as
-//! deprecated shims over the same machinery.
+//! The scheduler works on index ranges: a run cuts `0..n` into chunks,
+//! attempts each once, and combines the results in input order
+//! ([`RangeTask`], [`RangeMapTask`]; slice tasks run through thin
+//! adapters to ranges). Every attempt is
+//! panic-isolated: a panicking chunk is caught
+//! ([`std::panic::catch_unwind`]) and retried once on the calling
+//! thread, and if the retry fails too the whole run degrades to a
+//! sequential re-execution — reported via [`RunOutcome::degraded`].
+//! This module and the stream session ([`crate::stream`]) are the only
+//! code that schedules chunks and recovers from panics.
 
 use crate::error::RuntimeError;
-use crate::task::{DncTask, MapOnlyTask};
+use crate::task::{DncTask, MapOnlyTask, RangeMapTask, RangeTask, Slice, SliceMap};
 use crossbeam::deque::{Steal, Stealer, Worker};
 use parking_lot::Mutex;
 use parsynt_trace as trace;
@@ -25,9 +25,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// uninhabited placeholder otherwise so release builds compile every
 /// injection site away.
 #[cfg(feature = "fault-inject")]
-pub(crate) type FaultArg<'a> = Option<&'a crate::faults::FaultPlan>;
+type FaultArg<'a> = Option<&'a crate::faults::FaultPlan>;
 #[cfg(not(feature = "fault-inject"))]
-pub(crate) type FaultArg<'a> = Option<&'a std::convert::Infallible>;
+type FaultArg<'a> = Option<&'a std::convert::Infallible>;
 
 #[cfg(feature = "fault-inject")]
 #[inline]
@@ -41,8 +41,13 @@ fn inject(_faults: FaultArg<'_>, _chunk: usize, _attempt: u32) -> bool {
     false
 }
 
+/// Run `f` with panic isolation; a panic becomes its rendered payload.
+pub(crate) fn catch<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| payload_string(p.as_ref()))
+}
+
 /// Render a panic payload for trace events and [`RuntimeError`]s.
-pub(crate) fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
+fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -79,25 +84,6 @@ pub struct RunOutcome<A> {
     pub recovered_chunks: usize,
 }
 
-/// Run one chunk with panic isolation (and, under `fault-inject`, the
-/// scheduled fault for this `(chunk, attempt)` site applied).
-fn work_guarded<T: DncTask>(
-    task: &T,
-    slice: &[T::Item],
-    chunk: usize,
-    attempt: u32,
-    faults: FaultArg<'_>,
-) -> Result<T::Acc, String> {
-    match catch_unwind(AssertUnwindSafe(|| {
-        let poisoned = inject(faults, chunk, attempt);
-        (poisoned, task.work(slice))
-    })) {
-        Ok((false, acc)) => Ok(acc),
-        Ok((true, _)) => Err(format!("injected fault: poisoned result at chunk {chunk}")),
-        Err(payload) => Err(payload_string(payload.as_ref())),
-    }
-}
-
 /// Scheduling backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
@@ -112,12 +98,12 @@ pub enum Backend {
 /// Which engine executes a synthesized plan's hot path.
 ///
 /// Native [`crate::DncTask`]s are already compiled Rust and ignore this
-/// knob; it selects how *interpreter-level* plans (the `parsynt-core`
-/// executors) run their per-chunk work: lowered to fused native chunk
-/// kernels, or walked by the AST interpreter. The compiled engine falls
-/// back to the interpreter automatically for plan shapes the compiler
-/// does not cover (surfaced via a `compile_fallback` trace event), so
-/// results are byte-identical either way.
+/// knob; it selects which `parsynt-core` task runs a synthesized plan's
+/// chunks: fused native chunk kernels, or the AST interpreter. The
+/// compiled engine falls back to the interpreter automatically for plan
+/// shapes the compiler does not cover (surfaced via a
+/// `compile_fallback` trace event), so results are byte-identical
+/// either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Lower the plan to fused native chunk kernels (the default); the
@@ -157,8 +143,11 @@ impl std::fmt::Display for Engine {
 pub struct RunConfig {
     /// Number of worker threads.
     pub threads: usize,
-    /// Grain size in items (the paper's experiments use 50k elements).
-    /// Only the work-stealing backend uses it.
+    /// Grain size in items (the paper's experiments use 50k elements):
+    /// a run of at most one grain stays on the calling thread, and the
+    /// work-stealing backend cuts longer runs into grain-sized chunks.
+    /// Synthesized plans count it in leaves (scalars of the main input)
+    /// and convert it to rows per input.
     pub grain: usize,
     /// Scheduling backend.
     pub backend: Backend,
@@ -225,15 +214,15 @@ impl Default for RunConfig {
 }
 
 /// The unified executor: one configured entry point for every execution
-/// mode — batch divide-and-conquer ([`Executor::run`]), map-only
-/// ([`Executor::run_map_only`]), partial-list reduction
+/// mode — batch divide-and-conquer ([`Executor::run`],
+/// [`Executor::run_range`]), map-only ([`Executor::run_map_only`],
+/// [`Executor::run_map_range`]), partial-list reduction
 /// ([`Executor::reduce_tree`]), and streaming online aggregation
-/// ([`Executor::stream`] / [`Executor::run_stream`]).
+/// ([`Executor::stream`], [`Executor::stream_ranges`],
+/// [`Executor::run_stream`]).
 ///
 /// Construction is free; the executor holds only configuration and can
-/// be reused across runs (and shared: it is `Clone`). It replaces the
-/// nine pre-0.4 free functions (`run_parallel`, `try_run_parallel`,
-/// `run_parallel_with_faults`, …), which remain as deprecated shims.
+/// be reused across runs (and shared: it is `Clone`).
 ///
 /// ```
 /// use parsynt_runtime::{DncTask, Executor, RunConfig};
@@ -255,8 +244,7 @@ impl Default for RunConfig {
 ///
 /// Under the `fault-inject` cargo feature, [`Executor::with_faults`]
 /// attaches a deterministic [`crate::faults::FaultPlan`] applied to
-/// every chunk attempt of every run on this executor (the harness entry
-/// point that used to be the `*_with_faults` free functions).
+/// every chunk attempt of every run on this executor.
 #[derive(Debug, Clone, Default)]
 pub struct Executor {
     config: RunConfig,
@@ -289,13 +277,13 @@ impl Executor {
 
     /// The fault schedule as the internal executor argument.
     #[cfg(feature = "fault-inject")]
-    pub(crate) fn fault_arg(&self) -> FaultArg<'_> {
+    fn fault_arg(&self) -> FaultArg<'_> {
         self.faults.as_ref()
     }
 
     /// Without the `fault-inject` feature there is never a schedule.
     #[cfg(not(feature = "fault-inject"))]
-    pub(crate) fn fault_arg(&self) -> FaultArg<'_> {
+    fn fault_arg(&self) -> FaultArg<'_> {
         None
     }
 
@@ -305,13 +293,8 @@ impl Executor {
         task.work(data)
     }
 
-    /// Run the task in parallel according to the executor's config.
-    ///
-    /// Equivalent to `task.work(data)` whenever the join satisfies the
-    /// homomorphism law; chunk results are always joined in input order,
-    /// so non-commutative joins are safe. A panicking chunk is retried
-    /// once on the calling thread; persistent failures degrade the run
-    /// to a sequential re-execution ([`RunOutcome::degraded`]).
+    /// Run the task in parallel according to the executor's config:
+    /// [`Executor::run_range`] over the task's slice adapter.
     ///
     /// # Errors
     ///
@@ -322,13 +305,58 @@ impl Executor {
         task: &T,
         data: &[T::Item],
     ) -> Result<RunOutcome<T::Acc>, RuntimeError> {
-        try_run_parallel_impl(task, data, self.config, self.fault_arg())
+        self.run_range(&Slice::new(task, data))
     }
 
-    /// Run a map-only task: the `map` phase over all items in parallel
-    /// (static partition over the config's thread count), then the
-    /// sequential `fold` in input order. Panic isolation and recovery
-    /// mirror [`Executor::run`].
+    /// Run a range task in parallel according to the executor's config.
+    ///
+    /// The grain counts [`RangeTask::leaves`]. A run of one thread, or
+    /// of at most one grain, is one chunk on the calling thread;
+    /// otherwise the work-stealing backend cuts it into grain-sized
+    /// chunks and the static backend into one chunk per thread.
+    /// Equivalent to `task.work(0, len)` whenever the join
+    /// satisfies the homomorphism law; chunk results are always joined
+    /// in input order, so non-commutative joins are safe. A panicking
+    /// chunk is retried once on the calling thread; persistent failures
+    /// degrade the run to a sequential re-execution
+    /// ([`RunOutcome::degraded`]).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::WorkerPanicked`] only when even the sequential
+    /// fallback panics.
+    pub fn run_range<T: RangeTask>(&self, task: &T) -> Result<RunOutcome<T::Acc>, RuntimeError> {
+        let n = task.len();
+        let ranges = self.dnc_ranges(n, task.leaves());
+        if ranges.len() > 1 && trace::enabled() {
+            trace::counter("execute", "joins", ranges.len() as u64 - 1);
+        }
+        let Attempts {
+            results,
+            recovered,
+            failed,
+        } = self.attempt(&ranges, self.config.backend, &|lo, hi| task.work(lo, hi));
+        if failed.is_empty() {
+            // The join can panic too (it is synthesized code): guard the
+            // ordered reduction and fall back like a failed chunk.
+            let reduced = catch(|| {
+                let mut parts = results.into_iter().flatten();
+                let first = parts.next()?;
+                Some(parts.fold(first, |l, r| task.join(l, r)))
+            });
+            if let Ok(Some(value)) = reduced {
+                return Ok(RunOutcome {
+                    value,
+                    degraded: false,
+                    recovered_chunks: recovered,
+                });
+            }
+        }
+        fallback_sequential(&failed, recovered, || task.work(0, n))
+    }
+
+    /// Run a map-only task: [`Executor::run_map_range`] over the
+    /// task's slice adapter.
     ///
     /// # Errors
     ///
@@ -339,7 +367,156 @@ impl Executor {
         task: &T,
         data: &[T::Item],
     ) -> Result<RunOutcome<T::Acc>, RuntimeError> {
-        try_run_map_only_impl(task, data, self.config.threads, self.fault_arg())
+        self.run_map_range(&SliceMap::new(task, data))
+    }
+
+    /// Run a map-only range task: the `map` phase in parallel, one block
+    /// per thread (the map has no join to amortize, so the grain does
+    /// not apply), then the sequential `fold` of the blocks in input
+    /// order. Panic isolation and recovery mirror
+    /// [`Executor::run_range`].
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::WorkerPanicked`] only when even the sequential
+    /// fallback panics.
+    pub fn run_map_range<T: RangeMapTask>(
+        &self,
+        task: &T,
+    ) -> Result<RunOutcome<T::Acc>, RuntimeError> {
+        self.map_from(task, &|| task.init())
+    }
+
+    /// [`Executor::run_map_range`] with the fold starting from `start()`
+    /// instead of `task.init()` (a stream continues its running state).
+    pub(crate) fn map_from<T: RangeMapTask>(
+        &self,
+        task: &T,
+        start: &dyn Fn() -> T::Acc,
+    ) -> Result<RunOutcome<T::Acc>, RuntimeError> {
+        let n = task.len();
+        let parts = (n.max(1)).min(self.config.threads.max(1));
+        let ranges: Vec<(usize, usize)> = (0..parts)
+            .map(|i| (i * n / parts, (i + 1) * n / parts))
+            .collect();
+        let Attempts {
+            results,
+            recovered,
+            failed,
+        } = self.attempt(&ranges, Backend::Static, &|lo, hi| task.map(lo, hi));
+        if failed.is_empty() {
+            // The fold phase can panic too; guard it and degrade like a
+            // failed chunk.
+            let folded = catch(|| {
+                results
+                    .into_iter()
+                    .zip(&ranges)
+                    .try_fold(start(), |acc, (block, &(lo, hi))| {
+                        Some(task.fold(acc, lo, hi, block?))
+                    })
+            });
+            if let Ok(Some(value)) = folded {
+                return Ok(RunOutcome {
+                    value,
+                    degraded: false,
+                    recovered_chunks: recovered,
+                });
+            }
+        }
+        fallback_sequential(&failed, recovered, || {
+            task.fold(start(), 0, n, task.map(0, n))
+        })
+    }
+
+    /// The chunks a divide-and-conquer run over `0..n` items holding
+    /// `leaves` grain units is cut into.
+    fn dnc_ranges(&self, n: usize, leaves: usize) -> Vec<(usize, usize)> {
+        let threads = self.config.threads.max(1);
+        // The grain counts leaves: convert it to items at this input's
+        // density. `RunConfig::with_grain` clamps, but the struct is
+        // constructible literally; a zero grain must never reach the
+        // chunk math.
+        let grain = match leaves {
+            0 => self.config.grain,
+            _ => usize::try_from(self.config.grain as u128 * n as u128 / leaves as u128)
+                .unwrap_or(usize::MAX),
+        }
+        .max(1);
+        if threads == 1 || n <= grain {
+            return vec![(0, n)];
+        }
+        let size = match self.config.backend {
+            Backend::Static => n.div_ceil(threads.min(n)),
+            Backend::WorkStealing => grain,
+        };
+        (0..n)
+            .step_by(size)
+            .map(|lo| (lo, (lo + size).min(n)))
+            .collect()
+    }
+
+    /// Attempt every range once — on the calling thread when there is
+    /// only one (no span or counters), otherwise on scoped workers under
+    /// `backend` — then retry each failed range once on the calling
+    /// thread.
+    fn attempt<R: Send>(
+        &self,
+        ranges: &[(usize, usize)],
+        backend: Backend,
+        work: &(dyn Fn(usize, usize) -> R + Sync),
+    ) -> Attempts<R> {
+        let faults = self.fault_arg();
+        let first = if let [(lo, hi)] = *ranges {
+            vec![guarded(work, lo, hi, 0, 0, faults)]
+        } else {
+            let mut span = trace::span("execute", "run_parallel");
+            if span.is_enabled() {
+                span.record("threads", self.config.threads);
+                span.record("grain", self.config.grain);
+                span.record(
+                    "backend",
+                    match backend {
+                        Backend::WorkStealing => "work_stealing",
+                        Backend::Static => "static",
+                    },
+                );
+                span.record("items", ranges.last().map_or(0, |r| r.1));
+                trace::counter("execute", "chunks", ranges.len() as u64);
+            }
+            match backend {
+                Backend::Static => static_attempts(ranges, work, faults),
+                Backend::WorkStealing => {
+                    stealing_attempts(ranges, self.config.threads.max(1), work, faults)
+                }
+            }
+        };
+        let mut out = Attempts {
+            results: Vec::with_capacity(ranges.len()),
+            recovered: 0,
+            failed: Vec::new(),
+        };
+        for (chunk, (result, &(lo, hi))) in first.into_iter().zip(ranges).enumerate() {
+            let payload = match result {
+                Ok(value) => {
+                    out.results.push(Some(value));
+                    continue;
+                }
+                Err(payload) => payload,
+            };
+            emit_worker_panic(chunk, 0, &payload);
+            match guarded(work, lo, hi, chunk, 1, faults) {
+                Ok(value) => {
+                    out.recovered += 1;
+                    out.results.push(Some(value));
+                }
+                Err(payload) => {
+                    emit_worker_panic(chunk, 1, &payload);
+                    out.failed.push((chunk, payload));
+                    out.results.push(None);
+                }
+            }
+        }
+        out
     }
 
     /// Join a list of chunk partials as a balanced binary tree, each
@@ -348,7 +525,8 @@ impl Executor {
     /// (the looped joins of the mtls family, `O(m)` each). Requires only
     /// associativity: adjacent partials are joined in input order.
     ///
-    /// A panicking join is retried once on the calling thread (operands
+    /// Each round's joins are attempted like chunks of a run: a
+    /// panicking join is retried once on the calling thread (operands
     /// are cloned so the retry has them).
     ///
     /// # Errors
@@ -358,21 +536,59 @@ impl Executor {
     pub fn reduce_tree<T: DncTask>(
         &self,
         task: &T,
-        partials: Vec<T::Acc>,
+        mut partials: Vec<T::Acc>,
     ) -> Result<RunOutcome<T::Acc>, RuntimeError>
     where
         T::Acc: Clone,
     {
-        try_reduce_tree_impl(task, partials)
+        let mut recovered_chunks = 0;
+        while partials.len() > 1 {
+            // Pair `k` joins partials `2k` and `2k + 1`; an odd last
+            // partial moves up a round unjoined.
+            let pairs: Vec<(usize, usize)> = (0..partials.len() / 2)
+                .map(|k| (2 * k, 2 * k + 1))
+                .collect();
+            let leftover = (partials.len() % 2 == 1).then(|| partials.pop()).flatten();
+            let round: Vec<Mutex<T::Acc>> = partials.into_iter().map(Mutex::new).collect();
+            let Attempts {
+                results,
+                recovered,
+                failed,
+            } = self.attempt(&pairs, Backend::Static, &|l, r| {
+                task.join(round[l].lock().clone(), round[r].lock().clone())
+            });
+            if let Some((chunk, payload)) = failed.into_iter().next() {
+                return Err(RuntimeError::WorkerPanicked { chunk, payload });
+            }
+            recovered_chunks += recovered;
+            partials = results.into_iter().flatten().chain(leftover).collect();
+        }
+        Ok(RunOutcome {
+            value: partials.pop().unwrap_or_else(|| task.identity()),
+            degraded: false,
+            recovered_chunks,
+        })
     }
 
-    /// Open a streaming session: push chunks with
+    /// Open a streaming session over a slice task: push chunks with
     /// [`crate::stream::StreamSession::push_chunk`], observe progressive
     /// partial-prefix aggregates with
     /// [`crate::stream::StreamSession::snapshot`], and close with
     /// [`crate::stream::StreamSession::finish`].
-    pub fn stream<'e, T: DncTask>(&'e self, task: &'e T) -> crate::stream::StreamSession<'e, T> {
-        crate::stream::StreamSession::new(self, task)
+    pub fn stream<'e, T: DncTask>(
+        &'e self,
+        task: &'e T,
+    ) -> crate::stream::StreamSession<'e, T::Acc, &'e T> {
+        crate::stream::StreamSession::new(self, task, task.identity())
+    }
+
+    /// Open a streaming session whose chunks are range tasks of their
+    /// own (one per chunk of input, divide-and-conquer or map-only),
+    /// all sharing the accumulator type `A`. `start` is the value
+    /// snapshots and [`crate::stream::StreamSession::finish`] report
+    /// before any chunk arrived.
+    pub fn stream_ranges<A>(&self, start: A) -> crate::stream::StreamSession<'_, A> {
+        crate::stream::StreamSession::new(self, (), start)
     }
 
     /// Drive a whole chunk iterator through a streaming session and
@@ -429,173 +645,40 @@ impl Executor {
     }
 }
 
-/// Run the task sequentially (the baseline all speedups are relative
-/// to).
-#[deprecated(
-    since = "0.4.0",
-    note = "use `Executor::run_sequential` (or call `task.work(data)` directly)"
-)]
-pub fn run_sequential<T: DncTask>(task: &T, data: &[T::Item]) -> T::Acc {
-    task.work(data)
+/// The first attempt of every chunk, each failed one retried once:
+/// `results[i]` is `None` exactly for the chunks listed in `failed`,
+/// each with its retry's panic payload.
+struct Attempts<R> {
+    results: Vec<Option<R>>,
+    recovered: usize,
+    failed: Vec<(usize, String)>,
 }
 
-/// Run the task in parallel according to `config`.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `Executor::new(config).run(task, data)` and take `RunOutcome::value`"
-)]
-pub fn run_parallel<T: DncTask>(task: &T, data: &[T::Item], config: RunConfig) -> T::Acc {
-    match try_run_parallel_impl(task, data, config, None) {
-        Ok(outcome) => outcome.value,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Panic-isolated parallel run, reporting retries and sequential
-/// degradation through [`RunOutcome`].
-#[deprecated(since = "0.4.0", note = "use `Executor::new(config).run(task, data)`")]
-pub fn try_run_parallel<T: DncTask>(
-    task: &T,
-    data: &[T::Item],
-    config: RunConfig,
-) -> Result<RunOutcome<T::Acc>, RuntimeError> {
-    try_run_parallel_impl(task, data, config, None)
-}
-
-/// Parallel run with a deterministic fault schedule applied to every
-/// chunk attempt.
-#[cfg(feature = "fault-inject")]
-#[deprecated(
-    since = "0.4.0",
-    note = "use `Executor::new(config).with_faults(plan.clone()).run(task, data)`"
-)]
-pub fn run_parallel_with_faults<T: DncTask>(
-    task: &T,
-    data: &[T::Item],
-    config: RunConfig,
-    plan: &crate::faults::FaultPlan,
-) -> Result<RunOutcome<T::Acc>, RuntimeError> {
-    try_run_parallel_impl(task, data, config, Some(plan))
-}
-
-pub(crate) fn try_run_parallel_impl<T: DncTask>(
-    task: &T,
-    data: &[T::Item],
-    config: RunConfig,
+/// Run `work` over `lo..hi` with panic isolation (and, under
+/// `fault-inject`, the scheduled fault for this `(chunk, attempt)` site
+/// applied).
+fn guarded<R>(
+    work: &(dyn Fn(usize, usize) -> R + Sync),
+    lo: usize,
+    hi: usize,
+    chunk: usize,
+    attempt: u32,
     faults: FaultArg<'_>,
-) -> Result<RunOutcome<T::Acc>, RuntimeError> {
-    let threads = config.threads.max(1);
-    let n = data.len();
-    // `RunConfig::with_grain` clamps, but the struct is constructible
-    // literally; a zero grain must never reach the chunk math.
-    let grain = config.grain.max(1);
-    // `chunk_grain` is the stride chunks were actually cut at, so a
-    // failed chunk can be re-sliced for retry.
-    let (partials, chunk_grain): (Vec<Result<T::Acc, String>>, usize) = if threads == 1
-        || n <= grain
-    {
-        // Sequential short-circuit: one chunk on the calling thread,
-        // no span or counters (matching pre-isolation observability).
-        (vec![work_guarded(task, data, 0, 0, faults)], n.max(1))
-    } else {
-        let mut exec_span = trace::span("execute", "run_parallel");
-        if exec_span.is_enabled() {
-            exec_span.record("threads", threads);
-            exec_span.record("grain", grain);
-            exec_span.record(
-                "backend",
-                match config.backend {
-                    Backend::WorkStealing => "work_stealing",
-                    Backend::Static => "static",
-                },
-            );
-            exec_span.record("items", data.len());
-        }
-        match config.backend {
-            Backend::Static => {
-                // One contiguous chunk per thread, grain-aligned.
-                let static_grain = n.div_ceil(threads.min(n)).max(1);
-                (
-                    static_partials(task, data, static_grain, faults),
-                    static_grain,
-                )
-            }
-            Backend::WorkStealing => (stealing_partials(task, data, threads, grain, faults), grain),
-        }
-    };
-    finish_partials(task, data, partials, chunk_grain, faults)
-}
-
-/// Retry failed chunks once on the calling thread, reduce the partials
-/// in order, and degrade to sequential re-execution when anything still
-/// fails (including a panicking join).
-fn finish_partials<T: DncTask>(
-    task: &T,
-    data: &[T::Item],
-    partials: Vec<Result<T::Acc, String>>,
-    grain: usize,
-    faults: FaultArg<'_>,
-) -> Result<RunOutcome<T::Acc>, RuntimeError> {
-    let n = data.len();
-    let num_chunks = partials.len();
-    let mut recovered = 0usize;
-    let mut failed: Vec<usize> = Vec::new();
-    let mut accs: Vec<Option<T::Acc>> = Vec::with_capacity(num_chunks);
-    for (chunk, partial) in partials.into_iter().enumerate() {
-        match partial {
-            Ok(acc) => accs.push(Some(acc)),
-            Err(payload) => {
-                emit_worker_panic(chunk, 0, &payload);
-                // Recompute this chunk's slice: a single-chunk run covers
-                // all of `data`, otherwise chunks are grain-sized.
-                let (lo, hi) = if num_chunks == 1 {
-                    (0, n)
-                } else {
-                    (chunk * grain, (chunk * grain + grain).min(n))
-                };
-                match work_guarded(task, &data[lo..hi], chunk, 1, faults) {
-                    Ok(acc) => {
-                        recovered += 1;
-                        accs.push(Some(acc));
-                    }
-                    Err(payload) => {
-                        emit_worker_panic(chunk, 1, &payload);
-                        failed.push(chunk);
-                        accs.push(None);
-                    }
-                }
-            }
-        }
+) -> Result<R, String> {
+    match catch(|| (inject(faults, chunk, attempt), work(lo, hi)))? {
+        (false, value) => Ok(value),
+        (true, _) => Err(format!("injected fault: poisoned result at chunk {chunk}")),
     }
-    if failed.is_empty() {
-        // The join can panic too (it is synthesized code): guard the
-        // ordered reduction and fall back like a failed chunk.
-        let reduced = catch_unwind(AssertUnwindSafe(|| {
-            accs.into_iter()
-                .flatten()
-                .reduce(|l, r| task.join(l, r))
-                .unwrap_or_else(|| task.identity())
-        }));
-        if let Ok(value) = reduced {
-            return Ok(RunOutcome {
-                value,
-                degraded: false,
-                recovered_chunks: recovered,
-            });
-        }
-    }
-    fallback_sequential(task, data, &failed, recovered)
 }
 
 /// Last-resort recovery: re-run the whole input sequentially on the
 /// calling thread. Faults are never injected here — the harness tests
 /// recovery of the *parallel* plan, and a broken task panics on its own.
-fn fallback_sequential<T: DncTask>(
-    task: &T,
-    data: &[T::Item],
-    failed: &[usize],
+fn fallback_sequential<A>(
+    failed: &[(usize, String)],
     recovered: usize,
-) -> Result<RunOutcome<T::Acc>, RuntimeError> {
+    sequential: impl FnOnce() -> A,
+) -> Result<RunOutcome<A>, RuntimeError> {
     if trace::enabled() {
         trace::point(
             "execute",
@@ -603,73 +686,56 @@ fn fallback_sequential<T: DncTask>(
             &[("failed_chunks", failed.len().into())],
         );
     }
-    match catch_unwind(AssertUnwindSafe(|| task.work(data))) {
+    match catch(sequential) {
         Ok(value) => Ok(RunOutcome {
             value,
             degraded: true,
             recovered_chunks: recovered,
         }),
         Err(payload) => Err(RuntimeError::WorkerPanicked {
-            chunk: failed.first().copied().unwrap_or(0),
-            payload: payload_string(payload.as_ref()),
+            chunk: failed.first().map_or(0, |f| f.0),
+            payload,
         }),
     }
 }
 
-/// Static scheduling: one contiguous grain-sized chunk per thread (the
-/// caller picks `grain = ⌈n / threads⌉`), results collected in order.
-fn static_partials<T: DncTask>(
-    task: &T,
-    data: &[T::Item],
-    grain: usize,
+/// Static scheduling: one scoped thread per chunk, results collected in
+/// order.
+fn static_attempts<R: Send>(
+    ranges: &[(usize, usize)],
+    work: &(dyn Fn(usize, usize) -> R + Sync),
     faults: FaultArg<'_>,
-) -> Vec<Result<T::Acc, String>> {
-    let n = data.len();
-    let num_chunks = n.div_ceil(grain);
-    let partials: Vec<Result<T::Acc, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..num_chunks)
-            .map(|chunk| {
-                let lo = chunk * grain;
-                let hi = (lo + grain).min(n);
-                scope.spawn(move || work_guarded(task, &data[lo..hi], chunk, 0, faults))
-            })
+) -> Vec<Result<R, String>> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ranges
+            .iter()
+            .enumerate()
+            .map(|(chunk, &(lo, hi))| scope.spawn(move || guarded(work, lo, hi, chunk, 0, faults)))
             .collect();
         handles
             .into_iter()
             .map(|h| match h.join() {
                 Ok(partial) => partial,
-                // `work_guarded` already catches task panics; reaching
-                // here means the runtime itself failed.
+                // `guarded` already catches task panics; reaching here
+                // means the runtime itself failed.
                 Err(payload) => Err(payload_string(payload.as_ref())),
             })
             .collect()
-    });
-    if trace::enabled() {
-        trace::counter("execute", "chunks", partials.len() as u64);
-        trace::counter("execute", "joins", partials.len().saturating_sub(1) as u64);
-    }
-    partials
+    })
 }
 
-/// Work-stealing execution: the input is cut into grain-sized tasks,
-/// dealt round-robin onto per-worker deques; idle workers steal. Each
-/// chunk's result lands in an index-ordered slot so the final reduction
-/// preserves input order. A panicking chunk is recorded as failed, not
-/// propagated: the scope always joins cleanly.
-fn stealing_partials<T: DncTask>(
-    task: &T,
-    data: &[T::Item],
+/// Work-stealing execution: chunk indices are dealt round-robin onto
+/// per-worker deques; idle workers steal. Each chunk's result lands in
+/// an index-ordered slot so the final reduction preserves input order.
+/// A panicking chunk is recorded as failed, not propagated: the scope
+/// always joins cleanly.
+fn stealing_attempts<R: Send>(
+    ranges: &[(usize, usize)],
     threads: usize,
-    grain: usize,
+    work: &(dyn Fn(usize, usize) -> R + Sync),
     faults: FaultArg<'_>,
-) -> Vec<Result<T::Acc, String>> {
-    let n = data.len();
-    let grain = grain.max(1);
-    let num_chunks = n.div_ceil(grain);
-    if num_chunks <= 1 {
-        return vec![work_guarded(task, data, 0, 0, faults)];
-    }
-
+) -> Vec<Result<R, String>> {
+    let num_chunks = ranges.len();
     // Per-worker deques seeded round-robin, like a TBB arena.
     let workers: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_lifo()).collect();
     let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
@@ -678,9 +744,9 @@ fn stealing_partials<T: DncTask>(
     }
 
     // One slot per chunk; `None` means the chunk never completed.
-    type Slot<A> = Mutex<Option<Result<A, String>>>;
+    type Slot<R> = Mutex<Option<Result<R, String>>>;
     let remaining = AtomicUsize::new(num_chunks);
-    let slots: Vec<Slot<T::Acc>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Slot<R>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
     // Per-worker tallies; workers run on foreign threads (no ambient
     // tracer there), so events are emitted from the calling thread once
     // the scope closes.
@@ -694,45 +760,40 @@ fn stealing_partials<T: DncTask>(
             let slots = &slots;
             let steal_counts = &steal_counts;
             let chunk_counts = &chunk_counts;
-            scope.spawn(move || {
-                loop {
-                    // Drain the local deque first, then steal.
-                    let chunk = worker.pop().or_else(|| {
-                        stealers.iter().find_map(|s| loop {
-                            match s.steal() {
-                                Steal::Success(c) => {
-                                    steal_counts[wid].fetch_add(1, Ordering::Relaxed);
-                                    return Some(c);
-                                }
-                                Steal::Empty => return None,
-                                Steal::Retry => continue,
+            scope.spawn(move || loop {
+                // Drain the local deque first, then steal.
+                let chunk = worker.pop().or_else(|| {
+                    stealers.iter().find_map(|s| loop {
+                        match s.steal() {
+                            Steal::Success(c) => {
+                                steal_counts[wid].fetch_add(1, Ordering::Relaxed);
+                                return Some(c);
                             }
-                        })
-                    });
-                    let Some(chunk) = chunk else {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            return;
+                            Steal::Empty => return None,
+                            Steal::Retry => continue,
                         }
-                        // Yield rather than spin: on oversubscribed (or
-                        // single-core) hosts a spinning idler starves the
-                        // workers that still hold chunks.
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    chunk_counts[wid].fetch_add(1, Ordering::Relaxed);
-                    let lo = chunk * grain;
-                    let hi = (lo + grain).min(n);
-                    let partial = work_guarded(task, &data[lo..hi], chunk, 0, faults);
-                    *slots[chunk].lock() = Some(partial);
-                    remaining.fetch_sub(1, Ordering::AcqRel);
-                }
+                    })
+                });
+                let Some(chunk) = chunk else {
+                    if remaining.load(Ordering::Acquire) == 0 {
+                        return;
+                    }
+                    // Yield rather than spin: on oversubscribed (or
+                    // single-core) hosts a spinning idler starves the
+                    // workers that still hold chunks.
+                    std::thread::yield_now();
+                    continue;
+                };
+                chunk_counts[wid].fetch_add(1, Ordering::Relaxed);
+                let (lo, hi) = ranges[chunk];
+                let partial = guarded(work, lo, hi, chunk, 0, faults);
+                *slots[chunk].lock() = Some(partial);
+                remaining.fetch_sub(1, Ordering::AcqRel);
             });
         }
     });
 
     if trace::enabled() {
-        trace::counter("execute", "chunks", num_chunks as u64);
-        trace::counter("execute", "joins", num_chunks as u64 - 1);
         for (wid, (steals, worked)) in steal_counts.iter().zip(&chunk_counts).enumerate() {
             trace::counter_with(
                 "execute",
@@ -757,319 +818,6 @@ fn stealing_partials<T: DncTask>(
                 .unwrap_or_else(|| Err(format!("chunk {chunk} never completed")))
         })
         .collect()
-}
-
-/// Join a list of chunk partials as a balanced binary tree, with each
-/// round's joins executed in parallel. For `c` chunks this takes
-/// `⌈log₂ c⌉` parallel rounds instead of `c − 1` sequential joins —
-/// relevant when the join itself is expensive (the looped joins of the
-/// mtls family, `O(m)` each).
-///
-/// Requires only associativity (which every synthesized join has by
-/// Definition 3.2): adjacent partials are always joined in input order.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `Executor::reduce_tree` (panic-isolated, returns a `RunOutcome`)"
-)]
-pub fn reduce_tree<T: DncTask>(task: &T, mut partials: Vec<T::Acc>) -> T::Acc {
-    while partials.len() > 1 {
-        let leftover = if partials.len() % 2 == 1 {
-            partials.pop()
-        } else {
-            None
-        };
-        let mut iter = partials.into_iter();
-        let mut pairs: Vec<(T::Acc, T::Acc)> = Vec::new();
-        while let (Some(l), Some(r)) = (iter.next(), iter.next()) {
-            pairs.push((l, r));
-        }
-        partials = std::thread::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .into_iter()
-                .map(|(l, r)| scope.spawn(move || task.join(l, r)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("join worker panicked"))
-                .collect()
-        });
-        if let Some(last) = leftover {
-            partials.push(last);
-        }
-    }
-    partials
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| task.identity())
-}
-
-/// Panic-isolated tree reduction: a panicking join is retried once on
-/// the calling thread (operands are cloned so the retry has them); a
-/// second failure is an error — with only partials in hand there is no
-/// raw input to re-run sequentially.
-#[deprecated(since = "0.4.0", note = "use `Executor::reduce_tree`")]
-pub fn try_reduce_tree<T: DncTask>(
-    task: &T,
-    partials: Vec<T::Acc>,
-) -> Result<RunOutcome<T::Acc>, RuntimeError>
-where
-    T::Acc: Clone,
-{
-    try_reduce_tree_impl(task, partials)
-}
-
-pub(crate) fn try_reduce_tree_impl<T: DncTask>(
-    task: &T,
-    mut partials: Vec<T::Acc>,
-) -> Result<RunOutcome<T::Acc>, RuntimeError>
-where
-    T::Acc: Clone,
-{
-    let mut recovered = 0usize;
-    while partials.len() > 1 {
-        let leftover = if partials.len() % 2 == 1 {
-            partials.pop()
-        } else {
-            None
-        };
-        let mut iter = partials.into_iter();
-        let mut pairs: Vec<(T::Acc, T::Acc)> = Vec::new();
-        while let (Some(l), Some(r)) = (iter.next(), iter.next()) {
-            pairs.push((l, r));
-        }
-        let joined: Vec<Result<T::Acc, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .iter()
-                .map(|(l, r)| {
-                    let (l, r) = (l.clone(), r.clone());
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| task.join(l, r)))
-                            .map_err(|p| payload_string(p.as_ref()))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    Err(payload) => Err(payload_string(payload.as_ref())),
-                })
-                .collect()
-        });
-        let mut next = Vec::with_capacity(joined.len() + 1);
-        for (pair_idx, (result, (l, r))) in joined.into_iter().zip(pairs).enumerate() {
-            match result {
-                Ok(acc) => next.push(acc),
-                Err(payload) => {
-                    emit_worker_panic(pair_idx, 0, &payload);
-                    match catch_unwind(AssertUnwindSafe(|| task.join(l, r))) {
-                        Ok(acc) => {
-                            recovered += 1;
-                            next.push(acc);
-                        }
-                        Err(p) => {
-                            let payload = payload_string(p.as_ref());
-                            emit_worker_panic(pair_idx, 1, &payload);
-                            return Err(RuntimeError::WorkerPanicked {
-                                chunk: pair_idx,
-                                payload,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(last) = leftover {
-            next.push(last);
-        }
-        partials = next;
-    }
-    Ok(RunOutcome {
-        value: partials
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| task.identity()),
-        degraded: false,
-        recovered_chunks: recovered,
-    })
-}
-
-/// Run a map-only task: the `map` phase over all items in parallel
-/// (static partition), then the sequential `fold` in input order.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `Executor::new(RunConfig::default().with_threads(threads))\
-            .run_map_only(task, data)` and take `RunOutcome::value`"
-)]
-pub fn run_map_only<T: MapOnlyTask>(task: &T, data: &[T::Item], threads: usize) -> T::Acc {
-    match try_run_map_only_impl(task, data, threads, None) {
-        Ok(outcome) => outcome.value,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Panic-isolated map-only run, reporting retries and sequential
-/// degradation through [`RunOutcome`].
-#[deprecated(
-    since = "0.4.0",
-    note = "use `Executor::new(RunConfig::default().with_threads(threads))\
-            .run_map_only(task, data)`"
-)]
-pub fn try_run_map_only<T: MapOnlyTask>(
-    task: &T,
-    data: &[T::Item],
-    threads: usize,
-) -> Result<RunOutcome<T::Acc>, RuntimeError> {
-    try_run_map_only_impl(task, data, threads, None)
-}
-
-/// Map-only run with a deterministic fault schedule applied to every
-/// map-block attempt.
-#[cfg(feature = "fault-inject")]
-#[deprecated(
-    since = "0.4.0",
-    note = "use `Executor::new(RunConfig::default().with_threads(threads))\
-            .with_faults(plan.clone()).run_map_only(task, data)`"
-)]
-pub fn run_map_only_with_faults<T: MapOnlyTask>(
-    task: &T,
-    data: &[T::Item],
-    threads: usize,
-    plan: &crate::faults::FaultPlan,
-) -> Result<RunOutcome<T::Acc>, RuntimeError> {
-    try_run_map_only_impl(task, data, threads, Some(plan))
-}
-
-/// Map a block of items with panic isolation, mirroring [`work_guarded`].
-fn map_guarded<T: MapOnlyTask>(
-    task: &T,
-    slice: &[T::Item],
-    chunk: usize,
-    attempt: u32,
-    faults: FaultArg<'_>,
-) -> Result<Vec<T::Mapped>, String> {
-    match catch_unwind(AssertUnwindSafe(|| {
-        let poisoned = inject(faults, chunk, attempt);
-        (
-            poisoned,
-            slice.iter().map(|x| task.map(x)).collect::<Vec<_>>(),
-        )
-    })) {
-        Ok((false, mapped)) => Ok(mapped),
-        Ok((true, _)) => Err(format!("injected fault: poisoned result at chunk {chunk}")),
-        Err(payload) => Err(payload_string(payload.as_ref())),
-    }
-}
-
-/// The sequential semantics of a map-only task (also its fallback).
-fn seq_map_fold<T: MapOnlyTask>(task: &T, data: &[T::Item]) -> T::Acc {
-    data.iter()
-        .fold(task.init(), |acc, item| task.fold(acc, task.map(item)))
-}
-
-fn try_run_map_only_impl<T: MapOnlyTask>(
-    task: &T,
-    data: &[T::Item],
-    threads: usize,
-    faults: FaultArg<'_>,
-) -> Result<RunOutcome<T::Acc>, RuntimeError> {
-    let threads = threads.max(1);
-    let n = data.len();
-    let ranges: Vec<(usize, usize)> = if threads == 1 || n < 2 {
-        vec![(0, n)]
-    } else {
-        let parts = threads.min(n);
-        let base = n / parts;
-        let extra = n % parts;
-        let mut ranges = Vec::with_capacity(parts);
-        let mut lo = 0usize;
-        for i in 0..parts {
-            let len = base + usize::from(i < extra);
-            ranges.push((lo, lo + len));
-            lo += len;
-        }
-        ranges
-    };
-    let mapped: Vec<Result<Vec<T::Mapped>, String>> = if ranges.len() == 1 {
-        vec![map_guarded(task, data, 0, 0, faults)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .enumerate()
-                .map(|(chunk, &(lo, hi))| {
-                    scope.spawn(move || map_guarded(task, &data[lo..hi], chunk, 0, faults))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(partial) => partial,
-                    Err(payload) => Err(payload_string(payload.as_ref())),
-                })
-                .collect()
-        })
-    };
-    let mut recovered = 0usize;
-    let mut failed: Vec<usize> = Vec::new();
-    let mut blocks: Vec<Option<Vec<T::Mapped>>> = Vec::with_capacity(mapped.len());
-    for (chunk, (result, &(lo, hi))) in mapped.into_iter().zip(&ranges).enumerate() {
-        match result {
-            Ok(block) => blocks.push(Some(block)),
-            Err(payload) => {
-                emit_worker_panic(chunk, 0, &payload);
-                match map_guarded(task, &data[lo..hi], chunk, 1, faults) {
-                    Ok(block) => {
-                        recovered += 1;
-                        blocks.push(Some(block));
-                    }
-                    Err(payload) => {
-                        emit_worker_panic(chunk, 1, &payload);
-                        failed.push(chunk);
-                        blocks.push(None);
-                    }
-                }
-            }
-        }
-    }
-    if failed.is_empty() {
-        // The fold phase can panic too; guard it and degrade like a
-        // failed chunk.
-        let folded = catch_unwind(AssertUnwindSafe(|| {
-            let mut acc = task.init();
-            for block in blocks.into_iter().flatten() {
-                for m in block {
-                    acc = task.fold(acc, m);
-                }
-            }
-            acc
-        }));
-        if let Ok(value) = folded {
-            return Ok(RunOutcome {
-                value,
-                degraded: false,
-                recovered_chunks: recovered,
-            });
-        }
-    }
-    if trace::enabled() {
-        trace::point(
-            "execute",
-            "fallback_sequential",
-            &[("failed_chunks", failed.len().into())],
-        );
-    }
-    match catch_unwind(AssertUnwindSafe(|| seq_map_fold(task, data))) {
-        Ok(value) => Ok(RunOutcome {
-            value,
-            degraded: true,
-            recovered_chunks: recovered,
-        }),
-        Err(payload) => Err(RuntimeError::WorkerPanicked {
-            chunk: failed.first().copied().unwrap_or(0),
-            payload: payload_string(payload.as_ref()),
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -1170,6 +918,90 @@ mod tests {
         let d = data(10);
         let cfg = RunConfig::work_stealing(8); // grain 50k > len
         assert_eq!(par(&Sum, &d, cfg), seq(&Sum, &d));
+    }
+
+    /// A range task that records the thread of every `work` call and
+    /// panics on its first `panics` calls.
+    #[derive(Default)]
+    struct ThreadProbe {
+        len: usize,
+        panics: usize,
+        threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+    impl ThreadProbe {
+        fn new(len: usize, panics: usize) -> Self {
+            ThreadProbe {
+                len,
+                panics,
+                ..Default::default()
+            }
+        }
+        fn threads(&self) -> Vec<std::thread::ThreadId> {
+            self.threads.lock().unwrap().clone()
+        }
+    }
+    impl RangeTask for ThreadProbe {
+        type Acc = usize;
+        fn len(&self) -> usize {
+            self.len
+        }
+        fn work(&self, lo: usize, hi: usize) -> usize {
+            let calls = {
+                let mut threads = self.threads.lock().unwrap();
+                threads.push(std::thread::current().id());
+                threads.len()
+            };
+            assert!(calls > self.panics, "probe");
+            hi - lo
+        }
+        fn join(&self, l: usize, r: usize) -> usize {
+            l + r
+        }
+    }
+
+    /// A run of one chunk — attempt, retry and sequential fallback —
+    /// stays on the calling thread; a run of several chunks goes to
+    /// workers under both backends.
+    #[test]
+    fn single_chunk_runs_on_the_caller_with_retry_and_fallback() {
+        let caller = std::thread::current().id();
+        let exec = Executor::new(RunConfig::work_stealing(4)); // grain 50k > len
+                                                               // Panics on the first attempt only: recovered by the retry.
+        let flaky = ThreadProbe::new(4, 1);
+        let out = exec.run_range(&flaky).unwrap();
+        assert_eq!(
+            (out.value, out.recovered_chunks, out.degraded),
+            (4, 1, false)
+        );
+        // Panics on the attempt and the retry: the sequential fallback.
+        let failing = ThreadProbe::new(4, 2);
+        let out = exec.run_range(&failing).unwrap();
+        assert_eq!(
+            (out.value, out.recovered_chunks, out.degraded),
+            (4, 0, true)
+        );
+        for probe in [&flaky, &failing] {
+            assert!(probe.threads().iter().all(|&t| t == caller));
+        }
+        assert_eq!(failing.threads().len(), 3);
+        // Panics on every call: the fallback's panic is the error.
+        let broken = ThreadProbe::new(4, usize::MAX);
+        assert!(matches!(
+            exec.run_range(&broken),
+            Err(RuntimeError::WorkerPanicked { chunk: 0, .. })
+        ));
+        // Several chunks run on workers, one call per chunk.
+        for backend in [Backend::Static, Backend::WorkStealing] {
+            let spread = ThreadProbe::new(8, 0);
+            let cfg = RunConfig::work_stealing(2)
+                .with_grain(2)
+                .with_backend(backend);
+            let out = Executor::new(cfg).run_range(&spread).unwrap();
+            assert_eq!(out.value, 8);
+            let threads = spread.threads();
+            assert!(threads.len() > 1, "{backend:?}");
+            assert!(threads.iter().all(|&t| t != caller), "{backend:?}");
+        }
     }
 
     struct CountPositive;
@@ -1288,6 +1120,25 @@ mod tests {
             ),
             d
         );
+    }
+
+    #[test]
+    fn grain_counts_leaves_and_converts_to_items() {
+        let exec = Executor::new(RunConfig::work_stealing(4).with_grain(50_000));
+        // 20 000 rows of 500 leaves: 100 rows per 50k-leaf grain.
+        let ranges = exec.dnc_ranges(20_000, 10_000_000);
+        assert_eq!((ranges.len(), ranges[0]), (200, (0, 100)));
+        // One leaf per item: the grain is in items.
+        assert_eq!(exec.dnc_ranges(70_000, 70_000).len(), 2);
+        // Items heavier than a grain: one item per chunk.
+        assert_eq!(exec.dnc_ranges(10, 1_000_000).len(), 10);
+        // No more leaves than a grain: one chunk.
+        assert_eq!(exec.dnc_ranges(20_000, 50_000), vec![(0, 20_000)]);
+        // No leaves at all (only empty rows): the grain counts items.
+        assert_eq!(exec.dnc_ranges(60_000, 0).len(), 2);
+        // Static: one chunk per thread once past a grain.
+        let exec = Executor::new(RunConfig::static_schedule(4).with_grain(50_000));
+        assert_eq!(exec.dnc_ranges(20_000, 10_000_000).len(), 4);
     }
 
     #[test]
@@ -1549,35 +1400,5 @@ mod tests {
         let counters = agg.counters();
         // Chunk/join counters still reflect the attempted parallel plan.
         assert_eq!(counters["execute.chunks"], 3);
-    }
-
-    /// The pre-0.4 free functions remain faithful shims over the
-    /// `Executor` machinery — deprecated, not removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_free_functions_are_faithful_shims() {
-        let d = data(2_000);
-        let cfg = RunConfig::work_stealing(3).with_grain(128);
-        let exec = Executor::new(cfg);
-        assert_eq!(run_sequential(&Sum, &d), exec.run_sequential(&Sum, &d));
-        assert_eq!(
-            run_parallel(&Sum, &d, cfg),
-            exec.run(&Sum, &d).unwrap().value
-        );
-        assert_eq!(
-            try_run_parallel(&Sum, &d, cfg).unwrap(),
-            exec.run(&Sum, &d).unwrap()
-        );
-        assert_eq!(
-            run_map_only(&CountPositive, &d, 3),
-            exec.run_map_only(&CountPositive, &d).unwrap().value
-        );
-        assert_eq!(
-            try_run_map_only(&CountPositive, &d, 3).unwrap().value,
-            map_only(&CountPositive, &d, 3)
-        );
-        let partials: Vec<Vec<i64>> = d.chunks(173).map(|c| c.to_vec()).collect();
-        assert_eq!(reduce_tree(&FirstLast, partials.clone()), d);
-        assert_eq!(try_reduce_tree(&FirstLast, partials).unwrap().value, d);
     }
 }

@@ -16,25 +16,32 @@
 //! * [`Backend::Static`] — OpenMP-flavoured static scheduling: exactly
 //!   one contiguous chunk per thread.
 //!
-//! Since 0.4.0 every execution mode is a method on one entry point,
-//! [`Executor`]:
+//! Every execution mode is a method on one entry point, [`Executor`]:
 //!
-//! * [`Executor::run`] — batch divide-and-conquer over a finished slice;
-//! * [`Executor::run_map_only`] — the Prop. 4.3 case where the inner
-//!   loop nest parallelizes but the outer fold stays sequential
-//!   (balanced parentheses, §2.1);
-//! * [`Executor::run_stream`] / [`Executor::stream`] — online
-//!   aggregation over chunked or unbounded input, emitting progressive
-//!   partial-prefix snapshots (the [`stream`]-module; sources include
-//!   [`stream::ReaderChunks`] and out-of-core [`stream::PagedFileChunks`]).
+//! * [`Executor::run`] / [`Executor::run_range`] — batch
+//!   divide-and-conquer over a finished slice, or over the index range
+//!   of a [`RangeTask`];
+//! * [`Executor::run_map_only`] / [`Executor::run_map_range`] — the
+//!   Prop. 4.3 case where the inner loop nest parallelizes but the outer
+//!   fold stays sequential (balanced parentheses, §2.1);
+//! * [`Executor::run_stream`] / [`Executor::stream`] /
+//!   [`Executor::stream_ranges`] — online aggregation over chunked or
+//!   unbounded input, emitting progressive partial-prefix snapshots
+//!   (the [`stream`]-module; sources include [`stream::ReaderChunks`]
+//!   and out-of-core [`stream::PagedFileChunks`]).
 //!
-//! The nine pre-0.4 free functions (`run_parallel`, `try_run_parallel`,
-//! …) remain as deprecated shims over the same machinery.
+//! The scheduler works on index ranges `lo..hi`; the slice-based
+//! [`DncTask`] and [`MapOnlyTask`] run through thin internal adapters
+//! to ranges. `parsynt-core` runs every synthesized plan,
+//! compiled or interpreted, batch or streaming, as a range task on this
+//! executor. The nine pre-0.4 free functions (`run_parallel`,
+//! `try_run_parallel`, …) were removed in 0.6.
 //!
 //! All executors are panic-isolated: a worker panic is caught, its
 //! chunk retried once, and persistent failures degrade the run (or, when
 //! streaming, that stream chunk only) to sequential re-execution (see
-//! [`RunOutcome`]). The `fault-inject` cargo feature adds a seeded,
+//! [`RunOutcome`]). This retry/degrade path is the only one in the
+//! workspace. The `fault-inject` cargo feature adds a seeded,
 //! deterministic fault-injection harness ([`faults`]-module) for
 //! exercising those recovery paths; [`Executor::with_faults`] applies a
 //! plan to every run.
@@ -49,18 +56,10 @@ pub mod stream;
 pub mod task;
 
 pub use error::RuntimeError;
-#[allow(deprecated)]
-pub use executor::{
-    reduce_tree, run_map_only, run_parallel, run_sequential, try_reduce_tree, try_run_map_only,
-    try_run_parallel,
-};
-#[allow(deprecated)]
-#[cfg(feature = "fault-inject")]
-pub use executor::{run_map_only_with_faults, run_parallel_with_faults};
 pub use executor::{Backend, Engine, Executor, RunConfig, RunOutcome};
 #[cfg(feature = "fault-inject")]
 pub use faults::{FaultKind, FaultPlan};
 #[cfg(unix)]
 pub use stream::{write_i64_records, PagedFileChunks};
 pub use stream::{ReaderChunks, StreamError, StreamOutcome, StreamSession, StreamSnapshot};
-pub use task::{DncTask, MapOnlyTask};
+pub use task::{DncTask, MapOnlyTask, RangeMapTask, RangeTask};

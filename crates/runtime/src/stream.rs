@@ -33,7 +33,10 @@
 //! machinery as a batch [`Executor::run`]: a faulting sub-chunk is
 //! retried once and a persistent failure degrades *that stream chunk
 //! only* to a sequential re-run, so the end-of-input aggregate stays
-//! byte-identical to the batch path. Under the `fault-inject` feature
+//! byte-identical to the batch path. A session opened by
+//! [`Executor::stream_ranges`] takes each chunk as a range task of its
+//! own, divide-and-conquer or map-only; this is how `parsynt-core`
+//! streams synthesized plans. Under the `fault-inject` feature
 //! the executor's [`crate::faults::FaultPlan`] applies to every chunk;
 //! fault sites are chunk-local (the same plan faults the same sub-chunk
 //! positions in every stream chunk), keeping recovery deterministic for
@@ -43,14 +46,11 @@
 //! `stream_snapshot` per snapshot, and a `stream_elements` counter.
 
 use crate::error::RuntimeError;
-use crate::executor::{
-    emit_worker_panic, payload_string, try_run_parallel_impl, Executor, RunOutcome,
-};
-use crate::task::DncTask;
+use crate::executor::{catch, emit_worker_panic, Executor};
+use crate::task::{DncTask, RangeMapTask, RangeTask, Slice};
 use parsynt_trace as trace;
 use std::fs::File;
 use std::io::{self, BufRead};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -136,15 +136,21 @@ impl From<RuntimeError> for StreamError {
     }
 }
 
-/// An open streaming aggregation over one task: push chunks, snapshot
-/// the running prefix aggregate on demand, finish for the total.
+/// An open streaming aggregation: push chunks, snapshot the running
+/// prefix aggregate on demand, finish for the total.
 ///
-/// Created by [`Executor::stream`]; the session borrows the executor's
-/// configuration (and fault schedule) for every chunk it runs.
-pub struct StreamSession<'e, T: DncTask> {
+/// [`Executor::stream`] opens a session over one slice task `T`
+/// (consumed with [`StreamSession::push_chunk`]);
+/// [`Executor::stream_ranges`] opens one (`T = ()`) whose chunks are
+/// range tasks of their own, divide-and-conquer
+/// ([`StreamSession::push`]) or map-only ([`StreamSession::push_map`]),
+/// sharing the accumulator type `A`. Every chunk runs on the executor
+/// with its configuration (and fault schedule); the recovery for a join
+/// that keeps failing lives here.
+pub struct StreamSession<'e, A, T = ()> {
     exec: &'e Executor,
-    task: &'e T,
-    acc: Option<T::Acc>,
+    task: T,
+    acc: A,
     chunks: usize,
     elements: u64,
     degraded_chunks: usize,
@@ -152,12 +158,13 @@ pub struct StreamSession<'e, T: DncTask> {
     started: Instant,
 }
 
-impl<'e, T: DncTask> StreamSession<'e, T> {
-    pub(crate) fn new(exec: &'e Executor, task: &'e T) -> Self {
+impl<'e, A, T> StreamSession<'e, A, T> {
+    /// A session whose aggregate is `start` until the first chunk.
+    pub(crate) fn new(exec: &'e Executor, task: T, start: A) -> Self {
         StreamSession {
             exec,
             task,
-            acc: None,
+            acc: start,
             chunks: 0,
             elements: 0,
             degraded_chunks: 0,
@@ -166,76 +173,135 @@ impl<'e, T: DncTask> StreamSession<'e, T> {
         }
     }
 
-    /// Consume one chunk: run it through the executor's panic-isolated
-    /// parallel machinery, then extend the running aggregate with the
-    /// synthesized join. Empty chunks are skipped (they would contribute
-    /// the identity). A chunk whose sub-chunks fail persistently is
-    /// re-run sequentially — degrading *this chunk only* — and a
-    /// panicking join is retried once on cloned operands.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::WorkerPanicked`] only when even the sequential
-    /// re-run of the chunk (or the join retry) panics — i.e. the task
-    /// itself is broken. The session is left unchanged in that case.
-    pub fn push_chunk(&mut self, chunk: &[T::Item]) -> Result<(), RuntimeError>
-    where
-        T::Acc: Clone,
-    {
-        if chunk.is_empty() {
-            return Ok(());
+    /// The aggregate over the consumed prefix (before any chunk: the
+    /// slice task's identity, or the start value of
+    /// [`Executor::stream_ranges`]).
+    pub fn value(&self) -> &A {
+        &self.acc
+    }
+
+    /// Elements consumed so far.
+    pub fn elements(&self) -> u64 {
+        self.elements
+    }
+
+    /// Stream chunks consumed so far.
+    pub fn chunks(&self) -> usize {
+        self.chunks
+    }
+
+    /// Close the session and return the end-of-input aggregate.
+    pub fn finish(self) -> StreamOutcome<A> {
+        StreamOutcome {
+            value: self.acc,
+            chunks: self.chunks,
+            elements: self.elements,
+            elapsed: self.started.elapsed(),
+            degraded_chunks: self.degraded_chunks,
+            recovered_chunks: self.recovered_chunks,
         }
-        let chunk_idx = self.chunks;
-        let out: RunOutcome<T::Acc> =
-            try_run_parallel_impl(self.task, chunk, self.exec.config(), self.exec.fault_arg())?;
-        let value = match self.acc.take() {
-            None => out.value,
-            Some(left) => match join_guarded(self.task, left, out.value, chunk_idx) {
-                Ok((joined, retried)) => {
-                    self.recovered_chunks += usize::from(retried);
-                    joined
-                }
-                Err((left, err)) => {
-                    // Put the prefix back: the session survives a broken
-                    // chunk and can keep streaming past it if the caller
-                    // chooses to.
-                    self.acc = Some(left);
-                    return Err(err);
-                }
-            },
-        };
-        self.acc = Some(value);
+    }
+
+    fn record(&mut self, value: A, items: usize, degraded: bool, recovered: usize) {
+        let chunk = self.chunks;
+        self.acc = value;
         self.chunks += 1;
-        self.elements += chunk.len() as u64;
-        self.degraded_chunks += usize::from(out.degraded);
-        self.recovered_chunks += out.recovered_chunks;
+        self.elements += items as u64;
+        self.degraded_chunks += usize::from(degraded);
+        self.recovered_chunks += recovered;
         if trace::enabled() {
             trace::point(
                 "execute",
                 "stream_chunk",
                 &[
-                    ("chunk", chunk_idx.into()),
-                    ("items", chunk.len().into()),
-                    ("degraded", out.degraded.into()),
-                    ("recovered", out.recovered_chunks.into()),
+                    ("chunk", chunk.into()),
+                    ("items", items.into()),
+                    ("degraded", degraded.into()),
+                    ("recovered", recovered.into()),
                 ],
             );
-            trace::counter("execute", "stream_elements", chunk.len() as u64);
+            trace::counter("execute", "stream_elements", items as u64);
         }
+    }
+}
+
+impl<A: Clone + Send, T> StreamSession<'_, A, T> {
+    /// Consume one divide-and-conquer chunk: run `task` through the
+    /// executor's panic-isolated parallel machinery, then extend the
+    /// running aggregate with its join (the first chunk's value becomes
+    /// the aggregate). Empty chunks are skipped. A panicking join is
+    /// retried once on cloned operands; if it panics again, the chunk
+    /// is re-run sequentially from the running state
+    /// ([`RangeTask::resume`]) and counts as degraded.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::WorkerPanicked`] when even the sequential re-run
+    /// panics, or the join panics twice and the task cannot resume. The
+    /// session is left unchanged in that case.
+    pub fn push<R: RangeTask<Acc = A>>(&mut self, task: &R) -> Result<(), RuntimeError> {
+        let n = task.len();
+        if n == 0 {
+            return Ok(());
+        }
+        let chunk = self.chunks;
+        let out = self.exec.run_range(task)?;
+        let mut degraded = out.degraded;
+        let mut recovered = out.recovered_chunks;
+        let value = if chunk == 0 {
+            out.value
+        } else {
+            match join_guarded(task, &self.acc, out.value, chunk) {
+                Ok((joined, retried)) => {
+                    recovered += usize::from(retried);
+                    joined
+                }
+                Err(err) => match catch(|| task.resume(&self.acc, 0, n)) {
+                    Ok(Some(value)) => {
+                        degraded = true;
+                        value
+                    }
+                    Ok(None) => return Err(err),
+                    Err(payload) => return Err(RuntimeError::WorkerPanicked { chunk, payload }),
+                },
+            }
+        };
+        self.record(value, n, degraded, recovered);
+        Ok(())
+    }
+
+    /// Consume one map-only chunk: map its rows in parallel and continue
+    /// the sequential fold from the running state (from `task.init()`
+    /// for the first chunk). Empty chunks are skipped; recovery is
+    /// [`Executor::run_map_range`]'s, the sequential re-run starting
+    /// from the running state.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::WorkerPanicked`] when even the sequential re-run
+    /// panics. The session is left unchanged in that case.
+    pub fn push_map<R: RangeMapTask<Acc = A>>(&mut self, task: &R) -> Result<(), RuntimeError> {
+        let n = task.len();
+        if n == 0 {
+            return Ok(());
+        }
+        let out = if self.chunks == 0 {
+            self.exec.map_from(task, &|| task.init())?
+        } else {
+            let prefix = &self.acc;
+            self.exec.map_from(task, &|| prefix.clone())?
+        };
+        self.record(out.value, n, out.degraded, out.recovered_chunks);
         Ok(())
     }
 
     /// The progressive partial-prefix result: aggregate value, elements
-    /// consumed, and wall clock. Before any chunk arrived the value is
-    /// the task's identity.
-    pub fn snapshot(&self) -> StreamSnapshot<T::Acc>
-    where
-        T::Acc: Clone,
-    {
+    /// consumed, and wall clock.
+    pub fn snapshot(&self) -> StreamSnapshot<A> {
         let snap = StreamSnapshot {
             chunks: self.chunks,
             elements: self.elements,
-            value: self.acc.clone().unwrap_or_else(|| self.task.identity()),
+            value: self.acc.clone(),
             elapsed: self.started.elapsed(),
             degraded_chunks: self.degraded_chunks,
             recovered_chunks: self.recovered_chunks,
@@ -253,58 +319,49 @@ impl<'e, T: DncTask> StreamSession<'e, T> {
         }
         snap
     }
-
-    /// Elements consumed so far.
-    pub fn elements(&self) -> u64 {
-        self.elements
-    }
-
-    /// Stream chunks consumed so far.
-    pub fn chunks(&self) -> usize {
-        self.chunks
-    }
-
-    /// Close the session and return the end-of-input aggregate. For an
-    /// empty stream the value is the task's identity.
-    pub fn finish(self) -> StreamOutcome<T::Acc> {
-        StreamOutcome {
-            value: self.acc.unwrap_or_else(|| self.task.identity()),
-            chunks: self.chunks,
-            elements: self.elements,
-            elapsed: self.started.elapsed(),
-            degraded_chunks: self.degraded_chunks,
-            recovered_chunks: self.recovered_chunks,
-        }
-    }
 }
 
-/// Join with panic isolation: retry once on cloned operands; on a second
-/// panic hand the left (prefix) operand back so the session state
-/// survives. Returns whether the retry path was taken.
-#[allow(clippy::type_complexity)]
-fn join_guarded<T: DncTask>(
-    task: &T,
-    left: T::Acc,
-    right: T::Acc,
-    chunk: usize,
-) -> Result<(T::Acc, bool), (T::Acc, RuntimeError)>
+impl<'e, T: DncTask> StreamSession<'e, T::Acc, &'e T>
 where
     T::Acc: Clone,
 {
-    match catch_unwind(AssertUnwindSafe(|| task.join(left.clone(), right.clone()))) {
-        Ok(acc) => Ok((acc, false)),
-        Err(p) => {
-            emit_worker_panic(chunk, 0, &payload_string(p.as_ref()));
-            match catch_unwind(AssertUnwindSafe(|| task.join(left.clone(), right))) {
-                Ok(acc) => Ok((acc, true)),
-                Err(p) => {
-                    let payload = payload_string(p.as_ref());
-                    emit_worker_panic(chunk, 1, &payload);
-                    Err((left, RuntimeError::WorkerPanicked { chunk, payload }))
-                }
-            }
-        }
+    /// Consume one chunk of the session's slice task as a range task
+    /// (see [`StreamSession::push`]). A slice task cannot resume from a
+    /// state, so a join that panics twice is an error.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::WorkerPanicked`] only when even the sequential
+    /// re-run of the chunk (or the join retry) panics — i.e. the task
+    /// itself is broken. The session is left unchanged in that case.
+    pub fn push_chunk(&mut self, chunk: &[T::Item]) -> Result<(), RuntimeError> {
+        let task = self.task;
+        self.push(&Slice::new(task, chunk))
     }
+}
+
+/// Join with panic isolation: retry once on cloned operands. Returns
+/// whether the retry path was taken.
+fn join_guarded<T: RangeTask>(
+    task: &T,
+    left: &T::Acc,
+    right: T::Acc,
+    chunk: usize,
+) -> Result<(T::Acc, bool), RuntimeError>
+where
+    T::Acc: Clone,
+{
+    let payload = match catch(|| task.join(left.clone(), right.clone())) {
+        Ok(acc) => return Ok((acc, false)),
+        Err(payload) => payload,
+    };
+    emit_worker_panic(chunk, 0, &payload);
+    catch(|| task.join(left.clone(), right))
+        .map(|acc| (acc, true))
+        .map_err(|payload| {
+            emit_worker_panic(chunk, 1, &payload);
+            RuntimeError::WorkerPanicked { chunk, payload }
+        })
 }
 
 /// Chunked text source: parses whitespace-separated `i64`s from any
@@ -567,6 +624,72 @@ mod tests {
         let out = exec.run_stream(&SmallSlicePanic, d.chunks(100)).unwrap();
         assert_eq!(out.value, d.iter().sum::<i64>());
         assert_eq!(out.degraded_chunks, 5, "every chunk degraded in place");
+    }
+
+    #[test]
+    fn map_only_chunks_fold_on_from_the_running_state() {
+        /// Running count of positives after each element: the fold
+        /// must continue from the previous chunk's state.
+        struct PrefixCounts;
+        impl crate::task::MapOnlyTask for PrefixCounts {
+            type Item = i64;
+            type Mapped = bool;
+            type Acc = Vec<usize>;
+            fn init(&self) -> Vec<usize> {
+                Vec::new()
+            }
+            fn map(&self, item: &i64) -> bool {
+                *item > 0
+            }
+            fn fold(&self, mut acc: Vec<usize>, positive: bool) -> Vec<usize> {
+                acc.push(acc.last().copied().unwrap_or(0) + usize::from(positive));
+                acc
+            }
+        }
+        let d = data(500);
+        let exec = Executor::new(RunConfig::work_stealing(3));
+        let whole = exec.run_map_only(&PrefixCounts, &d).unwrap().value;
+        let mut session = exec.stream_ranges(Vec::new());
+        for chunk in d.chunks(77) {
+            session
+                .push_map(&crate::task::SliceMap::new(&PrefixCounts, chunk))
+                .unwrap();
+            let n = session.elements() as usize;
+            assert_eq!(session.snapshot().value, whole[..n]);
+        }
+        assert_eq!(session.finish().value, whole);
+    }
+
+    #[test]
+    fn broken_join_resumes_the_chunk_from_the_running_state() {
+        /// Sum over a slice whose join always panics but which can
+        /// continue a running sum: every chunk after the first is
+        /// re-run sequentially from the prefix.
+        struct Resumable<'a>(&'a [i64]);
+        impl RangeTask for Resumable<'_> {
+            type Acc = i64;
+            fn len(&self) -> usize {
+                self.0.len()
+            }
+            fn work(&self, lo: usize, hi: usize) -> i64 {
+                self.0[lo..hi].iter().sum()
+            }
+            fn join(&self, _l: i64, _r: i64) -> i64 {
+                panic!("broken join")
+            }
+            fn resume(&self, prefix: &i64, lo: usize, hi: usize) -> Option<i64> {
+                Some(prefix + self.work(lo, hi))
+            }
+        }
+        let d = data(300);
+        let exec = Executor::new(RunConfig::work_stealing(2).with_grain(1_000));
+        let mut session = exec.stream_ranges(0);
+        for chunk in d.chunks(70) {
+            session.push(&Resumable(chunk)).unwrap();
+        }
+        assert_eq!(*session.value(), d.iter().sum::<i64>());
+        let out = session.finish();
+        assert_eq!((out.chunks, out.degraded_chunks), (5, 4));
     }
 
     #[test]

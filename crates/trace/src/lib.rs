@@ -76,7 +76,7 @@
 //!   `fields.candidates`) — the synthesis [`Deadline`] expired and the
 //!   run was converted into a typed `Unparallelizable` outcome;
 //! * `execute/worker_panic` (point, `fields.chunk`, `fields.attempt`,
-//!   `fields.payload`) — a worker panicked inside `catch_unwind`; the
+//!   `fields.payload`) — a worker panicked inside the executor's guard; the
 //!   chunk is retried once on the coordinator;
 //! * `execute/fallback_sequential` (point, `fields.failed_chunks`) —
 //!   chunk retry also failed, so the whole plan re-ran sequentially
@@ -86,10 +86,21 @@
 //! * `synthesize/screen_panic` (counter) — candidates whose screening
 //!   closure panicked (the candidate is treated as rejected).
 //!
-//! Streaming execution (`Executor::stream` / `run_stream_checked`):
+//! Every chunk of every run — native tasks and synthesized plans, batch
+//! and streaming — is scheduled by `parsynt_runtime::Executor`:
 //!
-//! * `execute/interp_stream` (span) — one per interpreter-level
-//!   streaming run, wrapping every chunk;
+//! * `execute/run_parallel` (span, `fields.threads`, `fields.grain`,
+//!   `fields.backend`, `fields.items`) — one per run cut into more than
+//!   one chunk (a run of one thread or at most one grain is one chunk on
+//!   the calling thread and opens no span);
+//! * `execute/chunks` (counter) — chunks of that run; `execute/joins`
+//!   (counter) — its joins (divide-and-conquer runs only);
+//! * `execute/worker_steals` / `execute/worker_chunks` (counters,
+//!   `fields.worker`) — per-worker tallies of the work-stealing backend.
+//!
+//! Streaming execution (`Executor::stream` / `Executor::stream_ranges` /
+//! `run_stream_checked`):
+//!
 //! * `execute/stream_chunk` (point, `fields.chunk`, `fields.items`,
 //!   `fields.degraded`, `fields.recovered`) — one per consumed chunk:
 //!   its index, item count, and whether its parallel run degraded to
@@ -115,17 +126,14 @@
 //!   main input) is outside compiler coverage, so execution fell back
 //!   to the tree-walking interpreter. Batch runs emit it at most once
 //!   per run; streaming runs emit it per non-flattenable chunk;
-//! * `execute/compiled_divide_and_conquer`, `execute/compiled_map_only`,
-//!   `execute/compiled_stream` (spans, `fields.threads`) — the compiled
-//!   counterparts of the interpreter's `interp_divide_and_conquer` /
-//!   `interp_map_only` / `interp_stream` execution spans, so "which engine
-//!   actually ran" is visible from any trace;
-//! * `execute/kernel_elements` (counter) — outer-dimension elements
-//!   processed by compiled kernels (the compiled analogue of
-//!   `stream_elements`, also emitted on batch runs);
-//! * the `execute/chunks` / `execute/joins` counters and the panic /
-//!   degrade events (`worker_panic`, `fallback_sequential`) are shared
-//!   with the interpreter engine and carry identical payloads.
+//! * `execute/run_plan` (span, `fields.engine`, `fields.rows`) — one
+//!   per batch plan run (`run_plan_checked`), `engine` being `compiled`
+//!   or `interp`, so "which engine actually ran" is visible from any
+//!   trace; `execute/run_stream` (span, `fields.engine`) — one per
+//!   streamed plan run, wrapping every chunk;
+//! * both engines run on the executor, so the chunk counters and the
+//!   panic / degrade events (`worker_panic`, `fallback_sequential`) are
+//!   the same events with identical payloads.
 //!
 //! ## Usage
 //!

@@ -19,6 +19,11 @@ cargo clippy -p parsynt-serve --all-targets -- -D warnings
 echo "== cargo clippy parsynt-core incl. tests (-D warnings) =="
 cargo clippy -p parsynt-core --all-targets -- -D warnings
 
+# The root package's integration tests (engine differential, stream,
+# fault-sweep, CLI suites) are linted too.
+echo "== cargo clippy parsynt incl. tests (-D warnings) =="
+cargo clippy -p parsynt --all-targets -- -D warnings
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
@@ -55,38 +60,15 @@ echo "== e2ebench smoke =="
 python3 e2ebench/run.py --smoke
 
 # Non-test code must select the execution engine through
-# `run_plan_checked` / `RunConfig` rather than constructing the
-# interpreter path directly; the interpreter entry points
-# (`run_divide_and_conquer*`, `run_map_only*` in core::exec) are
-# reserved for the engine dispatcher in compile.rs and for tests.
-echo "== direct interpreter-path construction =="
-interp_entry_fns='(^|[^.[:alnum:]_])(run_divide_and_conquer|run_divide_and_conquer_checked|run_map_only_checked)[[:space:]]*\('
+# `run_plan_checked` / `RunConfig` rather than calling the interpreter
+# path directly; the interpreter entry points (`run_divide_and_conquer`,
+# `run_map_only` in core::exec) are kept for tests and examples.
+echo "== direct interpreter-path calls =="
+interp_entry_fns='(^|[^.[:alnum:]_])(run_divide_and_conquer|run_map_only)[[:space:]]*\('
 offenders=$( grep -rnE "$interp_entry_fns" --include='*.rs' src crates/service/src \
                 | grep -v '_test' || true )
 if [ -n "$offenders" ]; then
-    echo "error: non-engine code constructs the interpreter path directly:" >&2
-    echo "$offenders" >&2
-    exit 1
-fi
-
-# The nine pre-0.4 executor free functions are deprecated shims over
-# `Executor`; workspace code must not call them. The definitions and
-# their compatibility test live in crates/runtime/src/executor.rs,
-# which is excluded. Method calls (`.run_sequential(`, `exec.run(`...)
-# are fine — only free-function call syntax is gated.
-echo "== deprecated executor free functions =="
-# Six of the names are unique to the deprecated API and gated in any
-# call position (not preceded by `.` or an identifier character). The
-# other three (run_sequential, run_map_only, reduce_tree) collide with
-# `Executor` methods and `core::exec` functions, so only their
-# runtime-qualified paths are gated.
-deprecated_free_fns='(^|[^.[:alnum:]_])(run_parallel|try_run_parallel|run_parallel_with_faults|try_run_map_only|run_map_only_with_faults|try_reduce_tree)[[:space:]]*\('
-qualified_free_fns='(parsynt_)?runtime::(run_sequential|run_map_only|reduce_tree)[[:space:]]*\('
-offenders=$( (grep -rnE "$deprecated_free_fns" --include='*.rs' crates src tests ;
-              grep -rnE "$qualified_free_fns" --include='*.rs' crates src tests) \
-                | grep -v 'crates/runtime/src/executor.rs' || true )
-if [ -n "$offenders" ]; then
-    echo "error: workspace code calls deprecated executor free functions:" >&2
+    echo "error: non-engine code calls the interpreter path directly:" >&2
     echo "$offenders" >&2
     exit 1
 fi

@@ -48,25 +48,14 @@
 //! println!("{}", report.to_json_pretty());
 //! ```
 //!
-//! # Migrating from 0.1
+//! # Removed in 0.6
 //!
-//! The free functions are deprecated shims (now reachable only through
-//! their modules, e.g. `core::schema::parallelize`); each maps onto the
-//! builder:
-//!
-//! | 0.1 | 0.2 |
-//! |-----|-----|
-//! | `parallelize(&p)?` | `Pipeline::new(&p).run()?.parallelization` |
-//! | `parallelize_with(&p, &profile, &cfg)?` | `Pipeline::new(&p).configure(PipelineConfig::default().with_profile(profile).with_synth(cfg)).run()?.parallelization` |
-//! | `check_homomorphism_law(&plan, &profile, n, seed)?` | `report.check_homomorphism(n)?` |
-//! | ad-hoc knobs spread over call sites | one [`PipelineConfig`], `Pipeline::new(&p).configure(cfg)` |
-//!
-//! The 0.2 per-part builder setters (`Pipeline::profile`,
-//! `Pipeline::config`, `Pipeline::budget`) are deprecated in 0.3: the
-//! input profile and search budget moved into [`PipelineConfig`]
-//! (`with_profile` / `with_budget`), making
-//! `Pipeline::new(&p).configure(cfg)` the single configuration entry
-//! point.
+//! The 0.2-era free functions (`core::schema::parallelize`,
+//! `parallelize_with`, `core::proof::check_homomorphism_law`) and the
+//! nine pre-0.4 `runtime` executor free functions are gone: use
+//! `Pipeline::new(&p).configure(cfg).run()`,
+//! `report.check_homomorphism(n)` and the methods of
+//! [`runtime::Executor`].
 //!
 //! [`PipelineConfig`] is the whole configuration surface: what to
 //! synthesize with ([`SynthConfig`], including `with_synth_threads`

@@ -342,7 +342,7 @@ mod engines {
         let native: i64 = data.iter().flatten().sum();
         let input = Value::seq2_of_ints(&data);
         for threads in [1, 2, 3, 8] {
-            let state = run_both(plan, &[input.clone()], threads);
+            let state = run_both(plan, std::slice::from_ref(&input), threads);
             assert_eq!(state.scalar_named(&plan.program, "s"), Some(native));
         }
     }
@@ -366,7 +366,7 @@ mod engines {
         }
         let input = Value::seq3_of_ints(&planes);
         for threads in [1, 3, 8] {
-            let state = run_both(plan, &[input.clone()], threads);
+            let state = run_both(plan, std::slice::from_ref(&input), threads);
             assert_eq!(state.scalar_named(&plan.program, "mbbs"), Some(native));
         }
     }
@@ -407,7 +407,7 @@ mod engines {
         }
         let input = Value::seq2_of_ints(&lines);
         for threads in [1, 4] {
-            let state = run_both(&plan, &[input.clone()], threads);
+            let state = run_both(&plan, std::slice::from_ref(&input), threads);
             assert_eq!(state.scalar_named(&plan.program, "cnt"), Some(cnt));
         }
 
@@ -428,7 +428,7 @@ mod engines {
         }
         let input = Value::seq2_of_ints(&data);
         for threads in [1, 4] {
-            let state = run_both(&plan, &[input.clone()], threads);
+            let state = run_both(&plan, std::slice::from_ref(&input), threads);
             assert_eq!(state.scalar_named(&plan.program, "mtl"), Some(best));
         }
     }
@@ -727,6 +727,27 @@ mod engines {
         }
     }
 
+    /// A loop counter that shadows a state variable or input is a type
+    /// error naming it (the interpreter would unbind the state after the
+    /// loop, the compiled engine keep the loop's last value); the same
+    /// loop over a fresh counter runs identically under both engines.
+    #[test]
+    fn state_shadowing_counters_are_rejected() {
+        let source = |counter: &str| {
+            format!(
+                "input a : seq<seq<int>>; state j : int = 7; state s : int = 0;\n\
+                 for i in 0 .. len(a) {{ for {counter} in 0 .. len(a[i]) {{ s = s + a[i][{counter}]; }} }}"
+            )
+        };
+        let err = parse(&source("j")).expect_err("counter shadows state `j`");
+        assert!(err.to_string().contains("`j`"), "{err}");
+        let plan = plan_of(&source("k"));
+        for input in depth2_inputs() {
+            let state = engines_agree(&plan, &input).expect("runs");
+            assert_eq!(state.scalar_named(&plan.program, "j"), Some(7));
+        }
+    }
+
     #[test]
     fn out_of_bounds_indices_match_interpreter() {
         let width1 = Value::seq2_of_ints(&[vec![3], vec![4], vec![5]]);
@@ -754,6 +775,91 @@ mod engines {
                 assert!(err.contains("out of bounds"), "{body}: {err}");
             }
         }
+    }
+
+    /// Both engines with chunking forced by a grain of a few leaves —
+    /// the default 50 000-leaf grain keeps test-sized inputs in one
+    /// chunk — under both backends at 2, 3 and 8 threads: results and
+    /// error messages (the first in input order must win) must be
+    /// byte-identical, so the engines' chunk joins are compared too.
+    /// Returns every configuration's result.
+    fn chunked_engines_agree(
+        plan: &Parallelization,
+        input: &Value,
+    ) -> Vec<Result<StateVec, String>> {
+        use parsynt::core::Backend;
+        let inputs = [input.clone()];
+        let mut results = Vec::new();
+        for backend in [Backend::Static, Backend::WorkStealing] {
+            for (threads, grain) in [(2, 1), (3, 3), (8, 1), (8, 7)] {
+                let run = |engine| {
+                    let cfg = RunConfig::work_stealing(threads)
+                        .with_backend(backend)
+                        .with_grain(grain)
+                        .with_engine(engine);
+                    run_plan_checked(plan, &inputs, &cfg)
+                        .map(|o| o.state)
+                        .map_err(|e| e.to_string())
+                };
+                let compiled = run(Engine::Compiled);
+                assert_eq!(
+                    compiled,
+                    run(Engine::Interp),
+                    "{backend:?} {threads} threads grain {grain}"
+                );
+                results.push(compiled);
+            }
+        }
+        results
+    }
+
+    #[test]
+    fn engines_agree_at_small_grains() {
+        let bodies = [
+            "for i in 0 .. len(a) { s = s + a[i][1]; }",
+            "for i in 0 .. len(a) { for j in 0 .. len(a[i]) { s = max(s, a[i][j]); } }",
+            "for i in 0 .. len(a) { for j in 0 .. len(a[i]) { s = s + 100 / a[i][j]; } }",
+        ];
+        for body in bodies {
+            let plan = plan_of(&format!(
+                "input a : seq<seq<int>>; state s : int = 0;\n{body}"
+            ));
+            for input in depth2_inputs() {
+                chunked_engines_agree(&plan, &input);
+            }
+        }
+    }
+
+    /// `suite_sources_agree_under_both_engines` with chunking forced:
+    /// every compilable suite source, under its hand-written join, on
+    /// ragged, wrapping and empty inputs.
+    #[test]
+    fn suite_sources_agree_when_chunked() {
+        let small: Vec<i64> = (-9..=9).collect();
+        let limits = [i64::MAX, i64::MIN, -1, 0, 1, i64::MAX - 1];
+        let mut compiled = 0;
+        for b in parsynt::suite::all_benchmarks() {
+            let plan = plan_of(b.source);
+            let Ok(cp) = compile_plan(&plan) else {
+                continue;
+            };
+            compiled += 1;
+            let depth = cp.input_depth();
+            let pinned = (b.profile.cols.0 == b.profile.cols.1).then_some(b.profile.cols.0);
+            let choices = if b.profile.choices.is_empty() {
+                &small[..]
+            } else {
+                &b.profile.choices[..]
+            };
+            for input in [
+                input_of(depth, 13, pinned, choices, 1),
+                input_of(depth, 7, pinned, &limits, 2),
+                input_of(depth, 0, pinned, choices, 3),
+            ] {
+                chunked_engines_agree(&plan, &input);
+            }
+        }
+        assert!(compiled >= 15, "only {compiled} suite sources compiled");
     }
 
     #[test]
@@ -879,8 +985,29 @@ mod engines {
                 threads in 1usize..9,
             ) {
                 let input = Value::seq2_of_ints(&data);
-                run_both(sum2d_plan(), &[input.clone()], threads);
+                run_both(sum2d_plan(), std::slice::from_ref(&input), threads);
                 run_both(mbs_plan(), &[input], threads);
+            }
+
+            /// The same synthesized plans with chunking forced: both
+            /// engines agree, and the synthesized join combines the
+            /// chunks into the sequential result.
+            #[test]
+            fn chunked_plans_equal_the_sequential_run(
+                data in proptest::collection::vec(
+                    proptest::collection::vec(-50i64..51, 0..7), 0..24),
+            ) {
+                let input = Value::seq2_of_ints(&data);
+                for plan in [sum2d_plan(), mbs_plan()] {
+                    let sequential = parsynt::lang::interp::run_program(
+                        &plan.program,
+                        std::slice::from_ref(&input),
+                    )
+                    .map_err(|e| e.to_string());
+                    for chunked in chunked_engines_agree(plan, &input) {
+                        prop_assert_eq!(&chunked, &sequential);
+                    }
+                }
             }
         }
     }

@@ -1623,10 +1623,10 @@ impl RangeMapTask for CompiledMapOnlyTask<'_> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::exec::run_plan_checked;
+    use crate::exec::{run_plan_checked, run_plan_interpreted};
     use crate::testplans;
     use parsynt_lang::interp::run_program;
-    use parsynt_runtime::{Engine, RunConfig};
+    use parsynt_runtime::RunConfig;
 
     fn rows(n: usize) -> Vec<Vec<i64>> {
         (0..n)
@@ -1693,7 +1693,7 @@ mod tests {
             let out = run_plan_checked(plan, &inputs, &cfg).unwrap();
             assert_eq!(out.state, sequential, "threads = {threads}");
             assert!(!out.degraded);
-            let interp = run_plan_checked(plan, &inputs, &cfg.with_engine(Engine::Interp)).unwrap();
+            let interp = run_plan_interpreted(plan, &inputs, &cfg).unwrap();
             assert_eq!(interp.state, out.state);
         }
     }
@@ -1750,7 +1750,7 @@ mod tests {
         let inputs = vec![Value::Seq(Vec::new())];
         let cfg = RunConfig::work_stealing(2).with_threads(2);
         let compiled = run_plan_checked(plan, &inputs, &cfg).unwrap();
-        let interp = run_plan_checked(plan, &inputs, &cfg.with_engine(Engine::Interp)).unwrap();
+        let interp = run_plan_interpreted(plan, &inputs, &cfg).unwrap();
         assert_eq!(compiled.state, interp.state);
     }
 

@@ -2,18 +2,23 @@
 //!
 //! Every plan runs as a task on [`parsynt_runtime::Executor`], which
 //! schedules the chunks and owns the catch → retry-once → degrade
-//! recovery. This module picks the task: the compiled fused kernels of
+//! recovery. One private chooser picks the task, for batch runs and for
+//! every stream chunk alike: the compiled fused kernels of
 //! [`crate::compile`] ([`CompiledDncTask`], [`CompiledMapOnlyTask`])
-//! when the engine is [`Engine::Compiled`] and the plan and input are
-//! covered, otherwise the interpreter-backed [`InterpDncTask`] or
+//! when the compiler covers the plan and the main input flattens,
+//! otherwise the interpreter-backed [`InterpDncTask`] or
 //! [`InterpMapOnlyTask`], which run the synthesized artifacts
-//! themselves (the transformed program and the synthesized join) — the
-//! semantic cross-check that the plan is a faithful parallelization.
+//! themselves (the transformed program and the synthesized join).
 //!
-//! All four tasks share the accumulator [`PlanAcc`], so chunks of both
-//! engines join (and stream) interchangeably, and a runtime error
-//! passes through the executor unretried, the first one in input order
-//! winning.
+//! The interpreter is also the reference the tests compare against:
+//! [`run_plan_interpreted`] (and
+//! [`crate::stream::run_stream_interpreted`]) is [`run_plan_checked`]
+//! with the compiler skipped.
+//!
+//! All four tasks share the accumulator [`PlanAcc`], so compiled and
+//! interpreted chunks join (and stream) interchangeably, and a runtime
+//! error passes through the executor unretried, the first one in input
+//! order winning.
 //!
 //! The divide-and-conquer tasks report the leaf scalars of their main
 //! input ([`RangeTask::leaves`]), so the config's grain counts leaves
@@ -23,15 +28,14 @@
 
 use crate::compile::{
     compile_plan, emit_compile_fallback, CompiledDncTask, CompiledMapOnlyTask, CompiledPlan,
+    FlatInput,
 };
 use crate::schema::{Outcome, Parallelization};
 use parsynt_lang::error::{LangError, Result};
 use parsynt_lang::functional::{InnerResult, RightwardFn};
 use parsynt_lang::interp::StateVec;
 use parsynt_lang::{Program, Value};
-use parsynt_runtime::{
-    Engine, Executor, RangeMapTask, RangeTask, RunConfig, RunOutcome, RuntimeError,
-};
+use parsynt_runtime::{Executor, RangeMapTask, RangeTask, RunConfig, RuntimeError, StreamSession};
 use parsynt_synth::join::{apply_join, JoinVocab, SynthesizedJoin};
 use parsynt_trace as trace;
 
@@ -197,33 +201,15 @@ fn leaves(value: &Value) -> usize {
 
 /// Map a runtime failure (a chunk that panicked through retry and
 /// fallback) to the interpreter's error type.
-pub(crate) fn runtime_error(e: RuntimeError) -> LangError {
+fn runtime_error(e: RuntimeError) -> LangError {
     LangError::eval(e.to_string())
 }
 
-fn outcome(out: RunOutcome<PlanAcc>) -> Result<ExecOutcome> {
-    Ok(ExecOutcome {
-        state: out.value?,
-        degraded: out.degraded,
-        recovered_chunks: out.recovered_chunks,
-    })
-}
-
-/// Run a divide-and-conquer plan task on `exec`.
-fn run_dnc(task: &impl RangeTask<Acc = PlanAcc>, exec: &Executor) -> Result<ExecOutcome> {
-    outcome(exec.run_range(task).map_err(runtime_error)?)
-}
-
-/// Run a map-only plan task on `exec`.
-fn run_map(task: &impl RangeMapTask<Acc = PlanAcc>, exec: &Executor) -> Result<ExecOutcome> {
-    outcome(exec.run_map_range(task).map_err(runtime_error)?)
-}
-
-/// Compile `plan` when `run` selects the compiled engine; `None` (with
-/// a `compile_fallback` trace event) when the compiler does not cover
-/// it.
-pub(crate) fn compile_for(plan: &Parallelization, run: &RunConfig) -> Option<CompiledPlan> {
-    if run.engine != Engine::Compiled {
+/// `plan`'s compiled form when `compile` is set and the compiler covers
+/// the plan; `None` otherwise, with a `compile_fallback` trace event
+/// when the compiler refused it.
+pub(crate) fn compile_if(plan: &Parallelization, compile: bool) -> Option<CompiledPlan> {
+    if !compile {
         return None;
     }
     compile_plan(plan)
@@ -231,105 +217,153 @@ pub(crate) fn compile_for(plan: &Parallelization, run: &RunConfig) -> Option<Com
         .ok()
 }
 
-/// Execute `plan` on `inputs` under `run`: pick the task (compiled
-/// kernels when the engine is [`Engine::Compiled`] and the plan and
-/// input are covered, emitting `compile_plan`; the interpreter
-/// otherwise, emitting `compile_fallback` with the reason) and run it on
-/// [`Executor`] with the config's backend, thread count and grain.
-/// Both engines cut the same chunks, so results and error messages are
-/// byte-identical.
+/// The task that runs a plan over one input set (a batch run or one
+/// stream chunk).
+pub(crate) enum PlanTask<'a> {
+    CompiledDnc(CompiledDncTask<'a>),
+    CompiledMapOnly(CompiledMapOnlyTask<'a>),
+    InterpDnc(InterpDncTask<'a>),
+    InterpMapOnly(InterpMapOnlyTask<'a>),
+}
+
+impl<'a> PlanTask<'a> {
+    /// Choose the task for `inputs`: `compiled`'s kernels when it is
+    /// given and the main input flattens (into `flat`, which the task
+    /// borrows), the interpreter otherwise — after a `compile_fallback`
+    /// trace event when the input was the reason.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an unparallelizable plan, or when the interpreter task
+    /// rejects the plan or input.
+    pub(crate) fn choose(
+        plan: &'a Parallelization,
+        compiled: Option<&'a CompiledPlan>,
+        inputs: &'a [Value],
+        flat: &'a mut Option<FlatInput>,
+    ) -> Result<Self> {
+        if let Some(cp) = compiled {
+            match inputs.get(cp.main_index()).and_then(|v| cp.flatten(v)) {
+                Some(f) => {
+                    let flat = flat.insert(f);
+                    if let Some(task) = CompiledDncTask::new(cp, flat) {
+                        return Ok(PlanTask::CompiledDnc(task));
+                    }
+                    if let Some(task) = CompiledMapOnlyTask::new(cp, flat) {
+                        return Ok(PlanTask::CompiledMapOnly(task));
+                    }
+                }
+                None => emit_compile_fallback("main input is not a flattenable int sequence"),
+            }
+        }
+        match &plan.outcome {
+            Outcome::DivideAndConquer { .. } => {
+                InterpDncTask::new(plan, inputs).map(PlanTask::InterpDnc)
+            }
+            Outcome::MapOnly => {
+                InterpMapOnlyTask::new(&plan.program, inputs).map(PlanTask::InterpMapOnly)
+            }
+            Outcome::Unparallelizable { reason } => Err(LangError::eval(format!(
+                "cannot execute an unparallelizable plan ({reason})"
+            ))),
+        }
+    }
+
+    /// Which engine runs the task, as the trace reports it.
+    fn engine(&self) -> &'static str {
+        match self {
+            PlanTask::CompiledDnc(_) | PlanTask::CompiledMapOnly(_) => "compiled",
+            PlanTask::InterpDnc(_) | PlanTask::InterpMapOnly(_) => "interp",
+        }
+    }
+
+    /// The rows of the main input.
+    fn rows(&self) -> usize {
+        match self {
+            PlanTask::CompiledDnc(t) => RangeTask::len(t),
+            PlanTask::CompiledMapOnly(t) => RangeMapTask::len(t),
+            PlanTask::InterpDnc(t) => t.rows,
+            PlanTask::InterpMapOnly(t) => t.rows,
+        }
+    }
+
+    /// Run the task as a batch on `exec`.
+    fn run(&self, exec: &Executor) -> Result<ExecOutcome> {
+        let out = match self {
+            PlanTask::CompiledDnc(t) => exec.run_range(t),
+            PlanTask::CompiledMapOnly(t) => exec.run_map_range(t),
+            PlanTask::InterpDnc(t) => exec.run_range(t),
+            PlanTask::InterpMapOnly(t) => exec.run_map_range(t),
+        }
+        .map_err(runtime_error)?;
+        Ok(ExecOutcome {
+            state: out.value?,
+            degraded: out.degraded,
+            recovered_chunks: out.recovered_chunks,
+        })
+    }
+
+    /// Push the task as the next chunk of `stream`.
+    pub(crate) fn push(&self, stream: &mut StreamSession<'_, PlanAcc>) -> Result<()> {
+        match self {
+            PlanTask::CompiledDnc(t) => stream.push(t),
+            PlanTask::CompiledMapOnly(t) => stream.push_map(t),
+            PlanTask::InterpDnc(t) => stream.push(t),
+            PlanTask::InterpMapOnly(t) => stream.push_map(t),
+        }
+        .map_err(runtime_error)
+    }
+}
+
+/// Execute `plan` on `inputs` under `run`: compiled kernels when the
+/// compiler covers the plan and the main input flattens (emitting
+/// `compile_plan`), the interpreter otherwise (emitting
+/// `compile_fallback` with the reason), on [`Executor`] with the
+/// config's backend, thread count and grain. Both cut the same chunks,
+/// so results and error messages equal [`run_plan_interpreted`]'s byte
+/// for byte.
 ///
 /// # Errors
 ///
-/// Fails on unparallelizable plans, on runtime errors (identical
-/// messages for both engines), and when even the sequential fallback
-/// panics.
+/// Fails on unparallelizable plans, on runtime errors, and when even
+/// the sequential fallback panics.
 pub fn run_plan_checked(
     plan: &Parallelization,
     inputs: &[Value],
     run: &RunConfig,
 ) -> Result<ExecOutcome> {
-    if let Outcome::Unparallelizable { reason } = &plan.outcome {
-        return Err(LangError::eval(format!(
-            "cannot execute an unparallelizable plan ({reason})"
-        )));
-    }
-    let exec = Executor::new(*run);
+    run_plan(plan, inputs, run, true)
+}
+
+/// The reference for [`run_plan_checked`]: the same run with the
+/// compiler skipped, so every chunk and join goes through the
+/// interpreter. Pass `RunConfig::static_schedule(t).with_grain(1)` for
+/// one chunk per thread whatever the input's size.
+///
+/// # Errors
+///
+/// As [`run_plan_checked`].
+pub fn run_plan_interpreted(
+    plan: &Parallelization,
+    inputs: &[Value],
+    run: &RunConfig,
+) -> Result<ExecOutcome> {
+    run_plan(plan, inputs, run, false)
+}
+
+fn run_plan(
+    plan: &Parallelization,
+    inputs: &[Value],
+    run: &RunConfig,
+    compile: bool,
+) -> Result<ExecOutcome> {
     let mut span = trace::span("execute", "run_plan");
-    if let Some(compiled) = compile_for(plan, run) {
-        match inputs
-            .get(compiled.main_index())
-            .and_then(|v| compiled.flatten(v))
-        {
-            Some(flat) => {
-                span.record("engine", "compiled");
-                span.record("rows", flat.outer_len());
-                return match CompiledDncTask::new(&compiled, &flat) {
-                    Some(task) => run_dnc(&task, &exec),
-                    None => match CompiledMapOnlyTask::new(&compiled, &flat) {
-                        Some(task) => run_map(&task, &exec),
-                        None => unreachable!("a compiled plan is divide-and-conquer or map-only"),
-                    },
-                };
-            }
-            None => emit_compile_fallback("main input is not a flattenable int sequence"),
-        }
-    }
-    span.record("engine", "interp");
-    match &plan.outcome {
-        Outcome::DivideAndConquer { .. } => {
-            let task = InterpDncTask::new(plan, inputs)?;
-            span.record("rows", task.rows);
-            run_dnc(&task, &exec)
-        }
-        Outcome::MapOnly => {
-            let task = InterpMapOnlyTask::new(&plan.program, inputs)?;
-            span.record("rows", task.rows);
-            run_map(&task, &exec)
-        }
-        Outcome::Unparallelizable { .. } => unreachable!("rejected above"),
-    }
-}
-
-/// Execute a divide-and-conquer parallelization on `inputs` with
-/// `threads` worker threads through the interpreter: the outer
-/// dimension is cut into one chunk per thread whatever the input's size
-/// (static schedule, grain of one leaf), the chunks run in parallel and
-/// their results are combined in order with the synthesized join — so
-/// the join runs even on a test-sized input. Panic isolation is
-/// [`Executor`]'s.
-///
-/// # Errors
-///
-/// Fails if the parallelization is not divide-and-conquer, on any
-/// interpreter error, or when even the sequential fallback panics.
-pub fn run_divide_and_conquer(
-    parallelization: &Parallelization,
-    inputs: &[Value],
-    threads: usize,
-) -> Result<StateVec> {
-    let task = InterpDncTask::new(parallelization, inputs)?;
-    let exec = Executor::new(RunConfig::static_schedule(threads).with_grain(1));
-    run_dnc(&task, &exec).map(|o| o.state)
-}
-
-/// Execute a map-only parallelization through the interpreter: all
-/// instances of the inner loop nest run in parallel from the initial
-/// state (the memoryless map of Prop. 4.3); the outer loop folds their
-/// results sequentially.
-///
-/// # Errors
-///
-/// Fails on interpreter errors; the program must be memoryless (its
-/// outer phase may only consume the inner results).
-pub fn run_map_only(
-    parallelization: &Parallelization,
-    inputs: &[Value],
-    threads: usize,
-) -> Result<StateVec> {
-    let task = InterpMapOnlyTask::new(&parallelization.program, inputs)?;
-    let exec = Executor::new(RunConfig::static_schedule(threads));
-    run_map(&task, &exec).map(|o| o.state)
+    let compiled = compile_if(plan, compile);
+    let mut flat = None;
+    let task = PlanTask::choose(plan, compiled.as_ref(), inputs, &mut flat)?;
+    span.record("engine", task.engine());
+    span.record("rows", task.rows());
+    task.run(&Executor::new(*run))
 }
 
 #[cfg(test)]
@@ -350,8 +384,9 @@ mod tests {
         let seq =
             parsynt_lang::interp::run_program(&plan.program, std::slice::from_ref(&input)).unwrap();
         for threads in [1, 2, 3, 8] {
-            let par = run_divide_and_conquer(plan, std::slice::from_ref(&input), threads).unwrap();
-            assert_eq!(par, seq, "threads = {threads}");
+            let run = RunConfig::static_schedule(threads).with_grain(1);
+            let par = run_plan_interpreted(plan, std::slice::from_ref(&input), &run).unwrap();
+            assert_eq!(par.state, seq, "threads = {threads}");
         }
     }
 
@@ -363,9 +398,9 @@ mod tests {
         let input = Value::seq2_of_ints(&[vec![1, 1, -1], vec![-1], vec![1, -1]]);
         let seq =
             parsynt_lang::interp::run_program(&plan.program, std::slice::from_ref(&input)).unwrap();
-        let par = run_map_only(plan, &[input], 3).unwrap();
+        let par = run_plan_interpreted(plan, &[input], &RunConfig::static_schedule(3)).unwrap();
         assert_eq!(
-            par.scalar_named(&plan.program, "cnt"),
+            par.state.scalar_named(&plan.program, "cnt"),
             seq.scalar_named(&plan.program, "cnt")
         );
     }

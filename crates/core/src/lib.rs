@@ -39,9 +39,12 @@
 //! Synthesized plans execute on [`parsynt_runtime::Executor`]
 //! ([`run_plan_checked`], [`PipelineReport::execute`]) as one of four
 //! range tasks — [`CompiledDncTask`] / [`CompiledMapOnlyTask`] (fused
-//! native kernels) or [`InterpDncTask`] / [`InterpMapOnlyTask`] (the
-//! interpreter) — so the config's backend, thread count and grain
-//! apply, and the runtime's retry/degrade path is the only one.
+//! native kernels) whenever the compiler covers the plan, otherwise
+//! [`InterpDncTask`] / [`InterpMapOnlyTask`] (the interpreter) — so the
+//! config's backend, thread count and grain apply, and the runtime's
+//! retry/degrade path is the only one. [`run_plan_interpreted`] and
+//! [`run_stream_interpreted`] skip the compiler: they are the reference
+//! the tests compare the compiled runs against.
 //!
 //! The pre-0.2 free functions (`schema::parallelize`,
 //! `schema::parallelize_with`, `proof::check_homomorphism_law`) were
@@ -66,11 +69,10 @@ pub use compile::{
     FlatInput,
 };
 pub use exec::{
-    run_divide_and_conquer, run_map_only, run_plan_checked, ExecOutcome, InterpDncTask,
-    InterpMapOnlyTask, PlanAcc,
+    run_plan_checked, run_plan_interpreted, ExecOutcome, InterpDncTask, InterpMapOnlyTask, PlanAcc,
 };
 pub use fingerprint::{fingerprint, fingerprint_hex};
-pub use parsynt_runtime::{Backend, Engine, RunConfig};
+pub use parsynt_runtime::{Backend, RunConfig};
 pub use parsynt_trace::TraceConfig;
 pub use parsynt_trace::{CancelToken, Deadline};
 pub use pipeline::{
@@ -79,4 +81,7 @@ pub use pipeline::{
 };
 pub use proof::{check_homomorphism_law_exhaustive, check_join_associativity, proof_obligations};
 pub use schema::{Outcome, Parallelization, Report};
-pub use stream::{chunk_value_inputs, run_stream_checked, StreamExecOutcome, StreamSnapshot};
+pub use stream::{
+    chunk_value_inputs, run_stream_checked, run_stream_interpreted, StreamExecOutcome,
+    StreamSnapshot,
+};

@@ -431,13 +431,13 @@ impl PipelineReport {
     }
 
     /// Execute the synthesized parallelization on `inputs` with the
-    /// pipeline's [`RunConfig`] engine and thread count:
+    /// pipeline's [`RunConfig`] (backend, thread count and grain):
     /// divide-and-conquer plans run chunked with the synthesized join,
-    /// map-only plans run the parallel map plus sequential fold. Under
-    /// the default compiled engine the plan is lowered to fused native
-    /// chunk kernels first ([`crate::compile`]), falling back to the
-    /// interpreter (with a `compile_fallback` trace event) for plan
-    /// shapes the compiler does not cover.
+    /// map-only plans run the parallel map plus sequential fold. The
+    /// plan is lowered to fused native chunk kernels first
+    /// ([`crate::compile`]), falling back to the interpreter (with a
+    /// `compile_fallback` trace event) for plan shapes the compiler does
+    /// not cover.
     ///
     /// Worker panics are isolated: a panicking chunk is retried once,
     /// and persistent failures re-execute sequentially — in that case

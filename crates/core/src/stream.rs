@@ -17,19 +17,17 @@
 //! sequential re-run of its rows from the running state — the
 //! end-of-input state is byte-identical to the batch path either way.
 //!
-//! The engine in the [`RunConfig`] selects each chunk's task as
-//! [`crate::run_plan_checked`] does: compiled kernels when the plan
-//! compiles (once per stream) and the chunk's main input flattens, the
-//! interpreter otherwise — for the whole stream on uncompilable plans,
-//! per chunk on unflattenable inputs — with a `compile_fallback` trace
-//! event. All tasks share one accumulator type, so both engines stream
-//! byte-identical states and snapshots.
+//! Each chunk's task is chosen as [`crate::run_plan_checked`] chooses
+//! it: compiled kernels when the plan compiles (once per stream) and the
+//! chunk's main input flattens, the interpreter otherwise — for the
+//! whole stream on uncompilable plans, per chunk on unflattenable
+//! inputs — with a `compile_fallback` trace event. All tasks share one
+//! accumulator type, so compiled and interpreted chunks stream
+//! byte-identical states and snapshots; [`run_stream_interpreted`] is
+//! the interpreted reference the tests compare against.
 
-use crate::compile::{emit_compile_fallback, CompiledDncTask, CompiledMapOnlyTask};
-use crate::exec::{
-    compile_for, main_rows, runtime_error, InterpDncTask, InterpMapOnlyTask, PlanAcc,
-};
-use crate::schema::{Outcome, Parallelization};
+use crate::exec::{compile_if, main_rows, PlanAcc, PlanTask};
+use crate::schema::Parallelization;
 use parsynt_lang::error::{LangError, Result};
 use parsynt_lang::functional::RightwardFn;
 use parsynt_lang::interp::StateVec;
@@ -127,7 +125,57 @@ pub fn run_stream_checked<I, F>(
     chunks: I,
     run: RunConfig,
     snapshot_every: usize,
+    on_snapshot: F,
+) -> Result<StreamExecOutcome>
+where
+    I: IntoIterator<Item = Vec<Value>>,
+    F: FnMut(&StreamSnapshot),
+{
+    run_stream(
+        parallelization,
+        chunks,
+        run,
+        snapshot_every,
+        on_snapshot,
+        true,
+    )
+}
+
+/// The reference for [`run_stream_checked`]: the same stream with the
+/// compiler skipped, so every chunk and join goes through the
+/// interpreter.
+///
+/// # Errors
+///
+/// As [`run_stream_checked`].
+pub fn run_stream_interpreted<I, F>(
+    parallelization: &Parallelization,
+    chunks: I,
+    run: RunConfig,
+    snapshot_every: usize,
+    on_snapshot: F,
+) -> Result<StreamExecOutcome>
+where
+    I: IntoIterator<Item = Vec<Value>>,
+    F: FnMut(&StreamSnapshot),
+{
+    run_stream(
+        parallelization,
+        chunks,
+        run,
+        snapshot_every,
+        on_snapshot,
+        false,
+    )
+}
+
+fn run_stream<I, F>(
+    parallelization: &Parallelization,
+    chunks: I,
+    run: RunConfig,
+    snapshot_every: usize,
     mut on_snapshot: F,
+    compile: bool,
 ) -> Result<StreamExecOutcome>
 where
     I: IntoIterator<Item = Vec<Value>>,
@@ -137,8 +185,7 @@ where
         return Err(LangError::eval("not a parallelizable plan"));
     }
     let f = RightwardFn::new(&parallelization.program)?;
-    let main = f.main_input();
-    let compiled = compile_for(parallelization, &run);
+    let compiled = compile_if(parallelization, compile);
     let mut span = trace::span("execute", "run_stream");
     span.record(
         "engine",
@@ -158,35 +205,12 @@ where
     let mut snapshots = 0usize;
 
     for chunk_inputs in chunks {
-        let rows = main_rows(&f, &chunk_inputs)?;
-        if rows == 0 {
+        if main_rows(&f, &chunk_inputs)? == 0 {
             continue;
         }
-        let flat = compiled
-            .as_ref()
-            .and_then(|cp| cp.flatten(&chunk_inputs[main]));
-        if compiled.is_some() && flat.is_none() {
-            emit_compile_fallback("main input is not a flattenable int sequence");
-        }
-        let pushed = match (&compiled, &flat) {
-            (Some(cp), Some(flat)) => match CompiledDncTask::new(cp, flat) {
-                Some(task) => stream.push(&task),
-                None => match CompiledMapOnlyTask::new(cp, flat) {
-                    Some(task) => stream.push_map(&task),
-                    None => unreachable!("a compiled plan is divide-and-conquer or map-only"),
-                },
-            },
-            _ => match &parallelization.outcome {
-                Outcome::DivideAndConquer { .. } => {
-                    stream.push(&InterpDncTask::new(parallelization, &chunk_inputs)?)
-                }
-                _ => stream.push_map(&InterpMapOnlyTask::new(
-                    &parallelization.program,
-                    &chunk_inputs,
-                )?),
-            },
-        };
-        pushed.map_err(runtime_error)?;
+        let mut flat = None;
+        PlanTask::choose(parallelization, compiled.as_ref(), &chunk_inputs, &mut flat)?
+            .push(&mut stream)?;
         if let Err(e) = stream.value() {
             return Err(e.clone());
         }
@@ -219,9 +243,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Outcome;
     use crate::testplans;
     use parsynt_lang::interp::run_program;
-    use parsynt_runtime::Engine;
 
     #[test]
     fn chunks_equal_the_whole_input_set_with_a_sliced_main_input() {
@@ -327,16 +351,20 @@ mod tests {
         let input = Value::seq2_of_ints(&rows(29));
         let inputs = vec![input];
         for chunk_rows in [1, 5, 29] {
-            let mut by_engine = Vec::new();
-            for engine in [Engine::Compiled, Engine::Interp] {
-                let chunks = chunk_value_inputs(plan, &inputs, chunk_rows).unwrap();
-                let cfg = RunConfig::work_stealing(3).with_engine(engine);
-                let mut snaps = Vec::new();
-                let out = run_stream_checked(plan, chunks, cfg, 1, |s| snaps.push(s.state.clone()))
-                    .unwrap();
-                by_engine.push((out.state, snaps));
-            }
-            assert_eq!(by_engine[0], by_engine[1], "chunk_rows {chunk_rows}");
+            let cfg = RunConfig::work_stealing(3);
+            let mut compiled = Vec::new();
+            let chunks = chunk_value_inputs(plan, &inputs, chunk_rows).unwrap();
+            let out = run_stream_checked(plan, chunks, cfg, 1, |s| compiled.push(s.state.clone()))
+                .unwrap();
+            compiled.push(out.state);
+            let mut reference = Vec::new();
+            let chunks = chunk_value_inputs(plan, &inputs, chunk_rows).unwrap();
+            let out = run_stream_interpreted(plan, chunks, cfg, 1, |s| {
+                reference.push(s.state.clone());
+            })
+            .unwrap();
+            reference.push(out.state);
+            assert_eq!(compiled, reference, "chunk_rows {chunk_rows}");
         }
     }
 }

@@ -8,6 +8,7 @@
 use crate::ast::{BinOp, Expr, LValue, Program, Stmt, Sym, UnOp};
 use crate::error::{LangError, Result};
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// A variable environment indexed by [`Sym`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,28 +128,11 @@ pub fn eval_expr(env: &Env, e: &Expr) -> Result<Value> {
         Expr::Int(n) => Ok(Value::Int(*n)),
         Expr::Bool(b) => Ok(Value::Bool(*b)),
         Expr::Var(sym) => env.get(*sym).cloned(),
-        Expr::Index(base, idx) => {
-            let base_v = eval_expr(env, base)?;
-            let idx_v = eval_expr(env, idx)?
-                .as_int()
-                .ok_or_else(|| LangError::eval("index is not an integer"))?;
-            let items = base_v
-                .as_seq()
-                .ok_or_else(|| LangError::eval("indexing a non-sequence"))?;
-            usize::try_from(idx_v)
-                .ok()
-                .and_then(|i| items.get(i))
-                .cloned()
-                .ok_or_else(|| {
-                    LangError::eval(format!("index {idx_v} out of bounds (len {})", items.len()))
-                })
-        }
-        Expr::Len(inner) => {
-            let v = eval_expr(env, inner)?;
-            v.len()
-                .map(|n| Value::Int(n as i64))
-                .ok_or_else(|| LangError::eval("`len` of a non-sequence"))
-        }
+        Expr::Index(..) => eval_place(env, e).map(Cow::into_owned),
+        Expr::Len(inner) => eval_place(env, inner)?
+            .len()
+            .map(|n| Value::Int(n as i64))
+            .ok_or_else(|| LangError::eval("`len` of a non-sequence")),
         Expr::Zeros(n) => {
             let n = eval_expr(env, n)?
                 .as_int()
@@ -197,6 +181,38 @@ pub fn eval_expr(env: &Env, e: &Expr) -> Result<Value> {
             }
         }
     }
+}
+
+/// Evaluate `e` by reference where it names a variable or an element of
+/// one (`a`, `a[i]`, `a[i][j]`, ...), so reading an element or a length
+/// copies only what it returns, never the whole sequence; any other
+/// expression evaluates to an owned value.
+fn eval_place<'e>(env: &'e Env, e: &Expr) -> Result<Cow<'e, Value>> {
+    match e {
+        Expr::Var(sym) => env.get(*sym).map(Cow::Borrowed),
+        Expr::Index(base, idx) => {
+            let base_v = eval_place(env, base)?;
+            let idx_v = eval_expr(env, idx)?
+                .as_int()
+                .ok_or_else(|| LangError::eval("index is not an integer"))?;
+            Ok(match base_v {
+                Cow::Borrowed(v) => Cow::Borrowed(element(v, idx_v)?),
+                Cow::Owned(v) => Cow::Owned(element(&v, idx_v)?.clone()),
+            })
+        }
+        _ => eval_expr(env, e).map(Cow::Owned),
+    }
+}
+
+/// Element `idx` of the sequence `base`.
+fn element(base: &Value, idx: i64) -> Result<&Value> {
+    let items = base
+        .as_seq()
+        .ok_or_else(|| LangError::eval("indexing a non-sequence"))?;
+    usize::try_from(idx)
+        .ok()
+        .and_then(|i| items.get(i))
+        .ok_or_else(|| LangError::eval(format!("index {idx} out of bounds (len {})", items.len())))
 }
 
 /// Apply a binary operator to two evaluated operands.

@@ -152,11 +152,7 @@ fn figure8_chunks_contain_prefix_sum_auxiliaries() {
 
 fn collect_input_only(e: &Expr, is_state: &dyn Fn(Sym) -> bool, out: &mut Vec<Expr>) {
     match classify(e, is_state) {
-        Purity::InputOnly => {
-            if !matches!(e, Expr::Int(_) | Expr::Bool(_)) {
-                out.push(e.clone());
-            }
-        }
+        Purity::InputOnly if !matches!(e, Expr::Int(_) | Expr::Bool(_)) => out.push(e.clone()),
         Purity::Mixed => match e {
             Expr::Len(a) | Expr::Zeros(a) | Expr::Unary(_, a) => {
                 collect_input_only(a, is_state, out)

@@ -95,49 +95,6 @@ pub enum Backend {
     Static,
 }
 
-/// Which engine executes a synthesized plan's hot path.
-///
-/// Native [`crate::DncTask`]s are already compiled Rust and ignore this
-/// knob; it selects which `parsynt-core` task runs a synthesized plan's
-/// chunks: fused native chunk kernels, or the AST interpreter. The
-/// compiled engine falls back to the interpreter automatically for plan
-/// shapes the compiler does not cover (surfaced via a
-/// `compile_fallback` trace event), so results are byte-identical
-/// either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Lower the plan to fused native chunk kernels (the default); the
-    /// interpreter remains the differential oracle and the automatic
-    /// fallback.
-    #[default]
-    Compiled,
-    /// Force the AST interpreter on the hot path.
-    Interp,
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "compiled" => Ok(Engine::Compiled),
-            "interp" => Ok(Engine::Interp),
-            other => Err(format!(
-                "unknown engine '{other}' (expected 'compiled' or 'interp')"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Engine::Compiled => "compiled",
-            Engine::Interp => "interp",
-        })
-    }
-}
-
 /// Execution configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
@@ -151,9 +108,6 @@ pub struct RunConfig {
     pub grain: usize,
     /// Scheduling backend.
     pub backend: Backend,
-    /// Plan execution engine (compiled kernels vs interpreter); native
-    /// tasks ignore it.
-    pub engine: Engine,
 }
 
 impl RunConfig {
@@ -163,7 +117,6 @@ impl RunConfig {
             threads,
             grain: 50_000,
             backend: Backend::WorkStealing,
-            engine: Engine::Compiled,
         }
     }
 
@@ -173,7 +126,6 @@ impl RunConfig {
             threads,
             grain: 50_000,
             backend: Backend::Static,
-            engine: Engine::Compiled,
         }
     }
 
@@ -192,12 +144,6 @@ impl RunConfig {
     /// Override the thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Override the plan execution engine.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 }
@@ -906,7 +852,6 @@ mod tests {
                 threads: 4,
                 grain: 64,
                 backend,
-                engine: Engine::Compiled,
             };
             let out = par(&FirstLast, &d, cfg);
             assert_eq!(out, d, "backend {backend:?} reordered chunks");
@@ -1103,7 +1048,6 @@ mod tests {
                 threads: 4,
                 grain: 0,
                 backend,
-                engine: Engine::Compiled,
             };
             assert_eq!(par(&Sum, &d, cfg), seq, "backend {backend:?}");
         }
@@ -1115,7 +1059,6 @@ mod tests {
                     threads: 3,
                     grain: 0,
                     backend: Backend::WorkStealing,
-                    engine: Engine::Compiled,
                 }
             ),
             d
@@ -1217,7 +1160,6 @@ mod tests {
                 threads: 4,
                 grain: 100,
                 backend,
-                engine: Engine::Compiled,
             };
             let out = Executor::new(cfg).run(&WorkerShySum, &d).unwrap();
             assert_eq!(out.value, seq, "backend {backend:?}");
@@ -1236,7 +1178,6 @@ mod tests {
                 threads: 4,
                 grain: 100,
                 backend,
-                engine: Engine::Compiled,
             };
             let out = Executor::new(cfg).run(&task, &d).unwrap();
             assert_eq!(out.value, seq, "backend {backend:?}");

@@ -56,7 +56,7 @@ pub mod stream;
 pub mod task;
 
 pub use error::RuntimeError;
-pub use executor::{Backend, Engine, Executor, RunConfig, RunOutcome};
+pub use executor::{Backend, Executor, RunConfig, RunOutcome};
 #[cfg(feature = "fault-inject")]
 pub use faults::{FaultKind, FaultPlan};
 #[cfg(unix)]

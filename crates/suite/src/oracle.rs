@@ -189,7 +189,7 @@ mod tests {
     fn mtls_single_pass_matches_quadratic_spec() {
         for seed in 0..10 {
             let rows = gen_2d(60, seed, 4, -9, 9);
-            let mut rec = vec![0i64; 4];
+            let mut rec = [0i64; 4];
             let mut mtl = 0i64;
             for row in &rows {
                 let mut rpre = 0;
@@ -209,7 +209,7 @@ mod tests {
             let rows = gen_2d(60, seed, 4, -9, 9);
             // bottom-left: single pass recb[j] = max(recb, 0) + rpre,
             // answer = max_j of final recb.
-            let mut recb = vec![0i64; 4];
+            let mut recb = [0i64; 4];
             for row in &rows {
                 let mut rpre = 0;
                 for (j, &v) in row.iter().enumerate() {
@@ -223,7 +223,7 @@ mod tests {
                 "seed {seed}"
             );
             // top-right: running max over suffix-sum accumulations.
-            let mut psuf = vec![0i64; 4];
+            let mut psuf = [0i64; 4];
             let mut mtr = 0i64;
             for row in &rows {
                 let mut rsuf = 0;

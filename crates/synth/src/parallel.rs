@@ -303,7 +303,9 @@ mod tests {
     fn screen_batch_returns_minimum_passing_index() {
         let items: Vec<usize> = (0..500).collect();
         for threads in [1, 2, 4, 8] {
-            let out = screen_batch(threads, &items, &|i: &usize| *i % 7 == 0 && *i >= 91);
+            let out = screen_batch(threads, &items, &|i: &usize| {
+                i.is_multiple_of(7) && *i >= 91
+            });
             assert_eq!(out.winner, Some(91), "threads = {threads}");
             assert_eq!(out.per_worker.len(), threads);
         }

@@ -111,8 +111,8 @@
 //!   `fields.elements`, `fields.elements_per_sec`) — one per emitted
 //!   partial-prefix snapshot.
 //!
-//! Compiled execution (`parsynt-core`'s `compile` module — the default
-//! engine for running synthesized plans):
+//! Compiled execution (`parsynt-core`'s `compile` module, which runs
+//! every synthesized plan the compiler covers):
 //!
 //! * `execute/compile_plan` (point, `fields.kind`, `fields.regs`,
 //!   `fields.state_slots`, `fields.leaf_ops`, `fields.leaf_loads`,
@@ -121,17 +121,19 @@
 //!   `map_only`, and the last four count the superinstruction forms the
 //!   lowering used (operators on register/constant operands, loads with
 //!   register/constant indices, row loops, and slice folds);
-//! * `execute/compile_fallback` (point, `fields.reason`) — the compiled
-//!   engine was requested but the plan (or, in streaming, a chunk's
-//!   main input) is outside compiler coverage, so execution fell back
-//!   to the tree-walking interpreter. Batch runs emit it at most once
-//!   per run; streaming runs emit it per non-flattenable chunk;
+//! * `execute/compile_fallback` (point, `fields.reason`) — the plan
+//!   (or, in streaming, a chunk's main input) is outside compiler
+//!   coverage, so it runs on the tree-walking interpreter instead.
+//!   Batch runs emit it at most once per run; streaming runs emit it
+//!   once when the plan does not compile, else per non-flattenable
+//!   chunk. The interpreted references (`run_plan_interpreted`,
+//!   `run_stream_interpreted`) skip the compiler and never emit it;
 //! * `execute/run_plan` (span, `fields.engine`, `fields.rows`) — one
 //!   per batch plan run (`run_plan_checked`), `engine` being `compiled`
 //!   or `interp`, so "which engine actually ran" is visible from any
 //!   trace; `execute/run_stream` (span, `fields.engine`) — one per
 //!   streamed plan run, wrapping every chunk;
-//! * both engines run on the executor, so the chunk counters and the
+//! * compiled and interpreted tasks run on the executor, so the chunk counters and the
 //!   panic / degrade events (`worker_panic`, `fallback_sequential`) are
 //!   the same events with identical payloads.
 //!

@@ -13,7 +13,7 @@
 //! line's `(line_offset, min_offset)` is computed in parallel, the outer
 //! fold stays sequential.
 
-use parsynt::core::{run_map_only, Outcome, Pipeline, PipelineConfig};
+use parsynt::core::{run_plan_checked, Outcome, Pipeline, PipelineConfig, RunConfig};
 use parsynt::lang::interp::run_program;
 use parsynt::lang::pretty::program_to_string;
 use parsynt::lang::{parse, Value};
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Execute: "( ( )" / ")" / "( )" — lines 1 and 3 are level.
     let input = Value::seq2_of_ints(&[vec![1, 1, -1], vec![-1], vec![1, -1]]);
     let seq = run_program(&plan.program, std::slice::from_ref(&input))?;
-    let par = run_map_only(&plan, &[input], 4)?;
+    let par = run_plan_checked(&plan, &[input], &RunConfig::static_schedule(4))?.state;
     assert_eq!(
         par.scalar_named(&plan.program, "cnt"),
         seq.scalar_named(&plan.program, "cnt")

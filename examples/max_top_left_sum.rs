@@ -7,7 +7,7 @@
 //! cargo run --release --example max_top_left_sum
 //! ```
 
-use parsynt::core::{run_divide_and_conquer, Outcome, Pipeline};
+use parsynt::core::{run_plan_checked, Outcome, Pipeline, RunConfig};
 use parsynt::lang::interp::run_program;
 use parsynt::lang::{parse, Value};
 
@@ -51,7 +51,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let input = Value::seq2_of_ints(&rows);
     let seq = run_program(&plan.program, std::slice::from_ref(&input))?;
     for threads in [2, 4, 8] {
-        let par = run_divide_and_conquer(&plan, std::slice::from_ref(&input), threads)?;
+        // One chunk per thread, so the looped join runs on this small
+        // input.
+        let run = RunConfig::static_schedule(threads).with_grain(1);
+        let par = run_plan_checked(&plan, std::slice::from_ref(&input), &run)?.state;
         assert_eq!(
             par.scalar_named(&plan.program, "mtl"),
             seq.scalar_named(&plan.program, "mtl"),

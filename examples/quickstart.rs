@@ -9,7 +9,7 @@
 //! the synthesized divide-and-conquer plan on real threads and checks it
 //! against the sequential run.
 
-use parsynt::core::{run_divide_and_conquer, Outcome, Pipeline};
+use parsynt::core::{run_plan_checked, Outcome, Pipeline, RunConfig};
 use parsynt::lang::interp::run_program;
 use parsynt::lang::{parse, Value};
 
@@ -55,7 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let input = Value::seq2_of_ints(&rows);
     let sequential = run_program(&plan.program, std::slice::from_ref(&input))?;
-    let parallel = run_divide_and_conquer(plan, &[input], 8)?;
+    // A grain of 256 leaves (the default is 50 000) splits this
+    // 2 048-leaf input into chunks that the synthesized join combines.
+    let run = RunConfig::work_stealing(8).with_grain(256);
+    let parallel = run_plan_checked(plan, &[input], &run)?.state;
     assert_eq!(parallel, sequential);
     println!(
         "parallel (8 threads) == sequential: s = {}",

@@ -7,22 +7,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== cargo clippy (-D warnings) =="
-cargo clippy --workspace -- -D warnings
-
-echo "== cargo clippy parsynt-serve incl. tests (-D warnings) =="
-cargo clippy -p parsynt-serve --all-targets -- -D warnings
-
-# The plan compiler (crates/core/src/compile.rs) carries
-# `#![warn(clippy::unwrap_used)]`; lint the core crate including its
-# tests so the kernel-compiler module stays unwrap-free.
-echo "== cargo clippy parsynt-core incl. tests (-D warnings) =="
-cargo clippy -p parsynt-core --all-targets -- -D warnings
-
-# The root package's integration tests (engine differential, stream,
-# fault-sweep, CLI suites) are linted too.
-echo "== cargo clippy parsynt incl. tests (-D warnings) =="
-cargo clippy -p parsynt --all-targets -- -D warnings
+# Every target of every workspace crate: libraries, binaries, examples,
+# unit and integration tests, benches.
+echo "== cargo clippy --all-targets (-D warnings) =="
+cargo clippy --workspace --all-targets --keep-going -- -D warnings
 
 echo "== cargo build --release =="
 cargo build --release --workspace
@@ -46,8 +34,8 @@ cargo test -p parsynt-runtime stream -q
 cargo test -p parsynt-core stream -q
 
 # Engine differential suite: compiled fused kernels vs the tree-walking
-# interpreter vs the native oracles, batch and streaming, plus the
-# compiled-kernel fault sweep.
+# interpreter reference vs the native oracles, batch and streaming, plus
+# the compiled-kernel fault sweep.
 echo "== cargo test engine differential (incl. fault injection) =="
 cargo test --test native_vs_interpreter -q
 cargo test --test native_vs_interpreter --features fault-inject -q
@@ -59,16 +47,16 @@ cargo test -p parsynt-core compile -q
 echo "== e2ebench smoke =="
 python3 e2ebench/run.py --smoke
 
-# Non-test code must select the execution engine through
-# `run_plan_checked` / `RunConfig` rather than calling the interpreter
-# path directly; the interpreter entry points (`run_divide_and_conquer`,
-# `run_map_only` in core::exec) are kept for tests and examples.
+# Non-test code must run plans through `run_plan_checked` /
+# `run_stream_checked`, which pick compiled kernels or the interpreter
+# by themselves; the interpreted references (`run_plan_interpreted`,
+# `run_stream_interpreted`) are kept for tests.
 echo "== direct interpreter-path calls =="
-interp_entry_fns='(^|[^.[:alnum:]_])(run_divide_and_conquer|run_map_only)[[:space:]]*\('
+interp_entry_fns='(^|[^.[:alnum:]_])(run_plan_interpreted|run_stream_interpreted)[[:space:]]*\('
 offenders=$( grep -rnE "$interp_entry_fns" --include='*.rs' src crates/service/src \
                 | grep -v '_test' || true )
 if [ -n "$offenders" ]; then
-    echo "error: non-engine code calls the interpreter path directly:" >&2
+    echo "error: non-test code calls the interpreted reference directly:" >&2
     echo "$offenders" >&2
     exit 1
 fi

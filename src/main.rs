@@ -30,8 +30,8 @@
 //! synthesis engine; deterministic, 1 = fully sequential).
 
 use parsynt::core::{
-    proof_obligations, run_plan_checked, Engine, Outcome, Parallelization, Pipeline,
-    PipelineConfig, PipelineReport, SolutionCache,
+    proof_obligations, run_plan_checked, Outcome, Parallelization, Pipeline, PipelineConfig,
+    PipelineReport, SolutionCache,
 };
 use parsynt::lang::interp::run_program;
 use parsynt::lang::pretty::program_to_string;
@@ -140,7 +140,6 @@ USAGE:
   parsynt parallelize <file> [--values lo..hi | --brackets]
                              [--pair-width W] [--seed N]
   parsynt run <file> --threads N [--rows R] [--cols C] [--values lo..hi]
-              [--engine compiled|interp]
               [--stream] [--chunk-rows R] [--snapshot-every K]
   parsynt check <file> [--tests N] [--values lo..hi | --brackets]
                        [--pair-width W]
@@ -164,14 +163,6 @@ Service (serve):
   --workers N       synthesis worker threads (default 4)
   --queue N         bounded request queue; overflow answers 503
   --trace-dir DIR   per-request JSONL traces as DIR/<request-id>.jsonl
-
-Execution (run):
-  --engine compiled|interp  execution engine (default compiled): lower
-                            the synthesized plan to fused native chunk
-                            kernels, falling back to the interpreter —
-                            with a `compile_fallback` trace event — for
-                            plan shapes the compiler does not cover;
-                            `interp` forces the interpreter everywhere
 
 Streaming (run):
   --stream            execute as an online aggregation: consume the
@@ -220,7 +211,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--trace-dir",
     "--chunk-rows",
     "--snapshot-every",
-    "--engine",
 ];
 /// Boolean switches.
 const SWITCHES: &[&str] = &["--brackets", "--json", "--stream"];
@@ -460,15 +450,7 @@ fn cmd_run(cli: &Cli) -> Result<(), CliError> {
     let threads = cli.parsed::<usize>("--threads")?.unwrap_or(4);
     let rows = cli.parsed::<usize>("--rows")?.unwrap_or(64);
     let cols = cli.parsed::<usize>("--cols")?.unwrap_or(16);
-    let engine = match cli.value("--engine") {
-        None => Engine::default(),
-        Some(raw) => raw
-            .parse::<Engine>()
-            .map_err(|e| CliError::Usage(format!("{e}\n{USAGE}")))?,
-    };
-    let run_config = parsynt::runtime::RunConfig::default()
-        .with_threads(threads)
-        .with_engine(engine);
+    let run_config = parsynt::runtime::RunConfig::default().with_threads(threads);
     let program = load_program(cli)?;
     let sink = trace_sink(cli)?;
     let mut report = run_pipeline(

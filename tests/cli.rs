@@ -145,43 +145,6 @@ fn run_stream_json_reports_the_stream_block() {
     assert!(!stdout.contains("\"stream\""), "{stdout}");
 }
 
-/// `--engine` selects the execution engine for `run`. Both engines must
-/// stream successfully and match the batch cross-check (the binary exits
-/// non-zero on any mismatch, so success *is* the byte-identity check).
-#[test]
-fn run_stream_agrees_under_both_engines() {
-    for engine in ["compiled", "interp"] {
-        let (ok, stdout, stderr) = parsynt(&[
-            "run",
-            "programs/sum2d.psl",
-            "--threads",
-            "3",
-            "--rows",
-            "30",
-            "--cols",
-            "5",
-            "--stream",
-            "--chunk-rows",
-            "7",
-            "--engine",
-            engine,
-        ]);
-        assert!(ok, "engine {engine}: {stderr}");
-        assert!(stdout.contains("[stream]"), "engine {engine}: {stdout}");
-        assert!(
-            stdout.contains("matches the batch run"),
-            "engine {engine}: {stdout}"
-        );
-    }
-}
-
-#[test]
-fn run_rejects_an_unknown_engine() {
-    let (ok, _, stderr) = parsynt(&["run", "programs/sum2d.psl", "--engine", "jit"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown engine 'jit'"), "{stderr}");
-}
-
 #[test]
 fn check_sum_verifies_the_law() {
     let (ok, stdout, stderr) = parsynt(&["check", "programs/sum2d.psl", "--tests", "30"]);
@@ -191,9 +154,14 @@ fn check_sum_verifies_the_law() {
 
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    let (ok, _, stderr) = parsynt(&["parallelize", "programs/sum2d.psl", "--frobnicate"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown flag"), "{stderr}");
+    for args in [
+        &["parallelize", "programs/sum2d.psl", "--frobnicate"][..],
+        &["run", "programs/sum2d.psl", "--engine", "interp"],
+    ] {
+        let (ok, _, stderr) = parsynt(args);
+        assert!(!ok, "{args:?}");
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! cargo test --release --test full_suite -- --ignored
 //! ```
 
-use parsynt::core::{run_divide_and_conquer, Outcome, Pipeline, PipelineConfig};
+use parsynt::core::{
+    run_plan_checked, run_plan_interpreted, Outcome, Pipeline, PipelineConfig, RunConfig,
+};
 use parsynt::lang::interp::run_program;
 use parsynt::lang::parse;
 use parsynt::suite::{all_benchmarks, ExpectedOutcome};
@@ -46,8 +48,11 @@ fn every_benchmark_matches_the_paper_outcome() {
             for _ in 0..3 {
                 let inputs = parsynt::synth::examples::random_inputs(&f, &b.profile, &mut rng);
                 let seq = run_program(&plan.program, &inputs).unwrap();
-                let par = run_divide_and_conquer(&plan, &inputs, 4).unwrap();
+                let run = RunConfig::static_schedule(4).with_grain(1);
+                let par = run_plan_interpreted(&plan, &inputs, &run).unwrap().state;
                 assert_eq!(par, seq, "{}: parallel != sequential", b.id);
+                let compiled = run_plan_checked(&plan, &inputs, &run).unwrap().state;
+                assert_eq!(compiled, seq, "{}: compiled != sequential", b.id);
             }
         }
         eprintln!("{}: ok", b.id);

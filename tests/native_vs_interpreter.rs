@@ -260,8 +260,9 @@ fn lcs_source_is_longest_aligned_run() {
 mod engines {
     use super::rows;
     use parsynt::core::{
-        chunk_value_inputs, compile_plan, run_plan_checked, run_stream_checked, Engine,
-        Parallelization, Pipeline, PipelineConfig, RunConfig,
+        chunk_value_inputs, compile_plan, run_plan_checked, run_plan_interpreted,
+        run_stream_checked, run_stream_interpreted, Parallelization, Pipeline, PipelineConfig,
+        RunConfig,
     };
     use parsynt::lang::interp::StateVec;
     use parsynt::lang::{parse, Value};
@@ -311,21 +312,12 @@ mod engines {
         })
     }
 
-    /// Run the plan under both engines and insist they agree
+    /// Run the plan and its interpreted reference and insist they agree
     /// byte-for-byte; returns the (shared) final state.
     fn run_both(plan: &Parallelization, inputs: &[Value], threads: usize) -> StateVec {
-        let interp = run_plan_checked(
-            plan,
-            inputs,
-            &RunConfig::work_stealing(threads).with_engine(Engine::Interp),
-        )
-        .expect("interpreter engine runs");
-        let compiled = run_plan_checked(
-            plan,
-            inputs,
-            &RunConfig::work_stealing(threads).with_engine(Engine::Compiled),
-        )
-        .expect("compiled engine runs");
+        let run = RunConfig::work_stealing(threads);
+        let interp = run_plan_interpreted(plan, inputs, &run).expect("interpreter reference runs");
+        let compiled = run_plan_checked(plan, inputs, &run).expect("compiled engine runs");
         assert_eq!(
             interp.state, compiled.state,
             "engines disagree at {threads} threads"
@@ -535,19 +527,26 @@ mod engines {
 
     type Snapshots = Vec<(usize, u64, StateVec)>;
 
+    /// Stream `input` in `chunk_rows`-row chunks with a snapshot after
+    /// every chunk, compiled or (`reference`) interpreted.
     fn stream(
         plan: &Parallelization,
         input: &Value,
         chunk_rows: usize,
-        engine: Engine,
+        reference: bool,
     ) -> (Result<StateVec, String>, Snapshots) {
         let chunks =
             chunk_value_inputs(plan, std::slice::from_ref(input), chunk_rows).expect("chunkable");
         let mut snaps = Vec::new();
-        let run = RunConfig::work_stealing(2).with_engine(engine);
-        let out = run_stream_checked(plan, chunks, run, 1, |s| {
+        let run = RunConfig::work_stealing(2);
+        let snap = |s: &parsynt::core::StreamSnapshot| {
             snaps.push((s.chunks, s.elements, s.state.clone()));
-        });
+        };
+        let out = if reference {
+            run_stream_interpreted(plan, chunks, run, 1, snap)
+        } else {
+            run_stream_checked(plan, chunks, run, 1, snap)
+        };
         (out.map(|o| o.state).map_err(|e| e.to_string()), snaps)
     }
 
@@ -557,32 +556,32 @@ mod engines {
     /// 1-thread result.
     fn engines_agree(plan: &Parallelization, input: &Value) -> Result<StateVec, String> {
         let inputs = [input.clone()];
-        let batch = |threads: usize, engine| {
-            run_plan_checked(
-                plan,
-                &inputs,
-                &RunConfig::work_stealing(threads).with_engine(engine),
-            )
-            .map(|o| o.state)
-            .map_err(|e| e.to_string())
+        let batch = |threads: usize, reference: bool| {
+            let run = RunConfig::work_stealing(threads);
+            let out = if reference {
+                run_plan_interpreted(plan, &inputs, &run)
+            } else {
+                run_plan_checked(plan, &inputs, &run)
+            };
+            out.map(|o| o.state).map_err(|e| e.to_string())
         };
         for threads in [1, 2, 3, 8] {
             assert_eq!(
-                batch(threads, Engine::Compiled),
-                batch(threads, Engine::Interp),
+                batch(threads, false),
+                batch(threads, true),
                 "engines disagree at {threads} threads"
             );
         }
         if input.len().unwrap_or(0) > 0 {
             for chunk_rows in [1, 2, 5] {
                 assert_eq!(
-                    stream(plan, input, chunk_rows, Engine::Compiled),
-                    stream(plan, input, chunk_rows, Engine::Interp),
+                    stream(plan, input, chunk_rows, false),
+                    stream(plan, input, chunk_rows, true),
                     "streams disagree at {chunk_rows}-row chunks"
                 );
             }
         }
-        batch(1, Engine::Compiled)
+        batch(1, false)
     }
 
     /// An input of the given depth: `n` outer elements, ragged and empty
@@ -792,19 +791,17 @@ mod engines {
         let mut results = Vec::new();
         for backend in [Backend::Static, Backend::WorkStealing] {
             for (threads, grain) in [(2, 1), (3, 3), (8, 1), (8, 7)] {
-                let run = |engine| {
-                    let cfg = RunConfig::work_stealing(threads)
-                        .with_backend(backend)
-                        .with_grain(grain)
-                        .with_engine(engine);
-                    run_plan_checked(plan, &inputs, &cfg)
-                        .map(|o| o.state)
-                        .map_err(|e| e.to_string())
-                };
-                let compiled = run(Engine::Compiled);
+                let cfg = RunConfig::work_stealing(threads)
+                    .with_backend(backend)
+                    .with_grain(grain);
+                let compiled = run_plan_checked(plan, &inputs, &cfg)
+                    .map(|o| o.state)
+                    .map_err(|e| e.to_string());
+                let reference = run_plan_interpreted(plan, &inputs, &cfg)
+                    .map(|o| o.state)
+                    .map_err(|e| e.to_string());
                 assert_eq!(
-                    compiled,
-                    run(Engine::Interp),
+                    compiled, reference,
                     "{backend:?} {threads} threads grain {grain}"
                 );
                 results.push(compiled);

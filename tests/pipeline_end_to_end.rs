@@ -4,7 +4,9 @@
 //! interpreter. (The full 27-benchmark sweep is the `table1` harness
 //! binary — it takes several minutes.)
 
-use parsynt::core::{run_divide_and_conquer, Outcome, Pipeline, PipelineConfig};
+use parsynt::core::{
+    run_plan_checked, run_plan_interpreted, Outcome, Pipeline, PipelineConfig, RunConfig,
+};
 use parsynt::lang::interp::run_program;
 use parsynt::lang::parse;
 use parsynt::suite::{benchmark, ExpectedOutcome};
@@ -46,8 +48,11 @@ fn run_benchmark(id: &str) {
             for _ in 0..5 {
                 let inputs = parsynt::synth::examples::random_inputs(&f, &b.profile, &mut rng);
                 let seq = run_program(&plan.program, &inputs).unwrap();
-                let par = run_divide_and_conquer(&plan, &inputs, 3).unwrap();
+                let run = RunConfig::static_schedule(3).with_grain(1);
+                let par = run_plan_interpreted(&plan, &inputs, &run).unwrap().state;
                 assert_eq!(par, seq, "{id}: parallel != sequential");
+                let compiled = run_plan_checked(&plan, &inputs, &run).unwrap().state;
+                assert_eq!(compiled, seq, "{id}: compiled != sequential");
             }
         }
         ExpectedOutcome::MapOnly => {

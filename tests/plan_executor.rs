@@ -5,8 +5,8 @@
 //! fault sweeps with results byte-identical to the sequential run.
 
 use parsynt::core::{
-    run_plan_checked, Backend, Engine, Outcome, Parallelization, Pipeline, PipelineConfig,
-    RunConfig,
+    run_plan_checked, run_plan_interpreted, Backend, Outcome, Parallelization, Pipeline,
+    PipelineConfig, RunConfig,
 };
 use parsynt::lang::{parse, Value};
 use parsynt::suite::benchmark;
@@ -32,14 +32,18 @@ fn mbs_plan() -> &'static Parallelization {
 
 /// Both backends at two grains reach the plan: the traced chunk counts
 /// follow the configuration (the grain counting leaves), and every
-/// configuration and engine computes the same state.
+/// configuration computes the same state, compiled and on the
+/// interpreted reference.
 #[test]
 fn run_config_reaches_plans() {
     let plan = mbs_plan();
     let input = Value::seq2_of_ints(&vec![vec![3, -1, 4, 1, -5]; 400]); // 2 000 leaves
     let inputs = [input];
     let expected = parsynt::lang::interp::run_program(&plan.program, &inputs).expect("runs");
-    for engine in [Engine::Compiled, Engine::Interp] {
+    for (engine, execute) in [
+        ("compiled", run_plan_checked as fn(&_, &_, &_) -> _),
+        ("interp", run_plan_interpreted),
+    ] {
         let mut chunks = Vec::new();
         for (backend, grain) in [
             (Backend::WorkStealing, 100),
@@ -49,11 +53,10 @@ fn run_config_reaches_plans() {
             let agg = PhaseAggregator::new();
             let run = RunConfig::work_stealing(4)
                 .with_backend(backend)
-                .with_grain(grain)
-                .with_engine(engine);
+                .with_grain(grain);
             let out = {
                 let _guard = set_ambient(Tracer::from_sink(agg.clone()));
-                run_plan_checked(plan, &inputs, &run).expect("plan runs")
+                execute(plan, &inputs, &run).expect("plan runs")
             };
             assert_eq!(out.state, expected, "{engine} {backend:?} grain {grain}");
             assert!(!out.degraded);

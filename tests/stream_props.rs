@@ -108,14 +108,14 @@ proptest! {
 }
 
 /// Plan-level streaming (the layer behind `run --stream`) must produce
-/// byte-identical snapshots under the compiled fused-kernel engine and
-/// the tree-walking interpreter: for any chunking, every snapshot state
-/// and the end-of-input state agree between the two engines.
+/// byte-identical snapshots on the compiled fused kernels and on the
+/// tree-walking interpreter reference: for any chunking, every snapshot
+/// state and the end-of-input state agree between the two.
 mod engine_parity {
     use super::*;
     use parsynt::core::{
-        chunk_value_inputs, run_stream_checked, Engine, Parallelization, Pipeline, PipelineConfig,
-        StreamSnapshot,
+        chunk_value_inputs, run_stream_checked, run_stream_interpreted, Parallelization, Pipeline,
+        PipelineConfig, StreamSnapshot,
     };
     use parsynt::lang::{parse, Value};
     use parsynt::suite::benchmark;
@@ -134,21 +134,23 @@ mod engine_parity {
         })
     }
 
+    /// Every snapshot state, then the end-of-input state, compiled or
+    /// (`reference`) interpreted.
     fn stream_states(
         plan: &Parallelization,
         inputs: &[Value],
         chunk_rows: usize,
-        engine: Engine,
+        reference: bool,
     ) -> Vec<parsynt::lang::interp::StateVec> {
         let chunks = chunk_value_inputs(plan, inputs, chunk_rows).expect("chunkable");
         let mut states = Vec::new();
-        let out = run_stream_checked(
-            plan,
-            chunks,
-            RunConfig::work_stealing(3).with_engine(engine),
-            1,
-            |snap: &StreamSnapshot| states.push(snap.state.clone()),
-        )
+        let run = RunConfig::work_stealing(3);
+        let snap = |snap: &StreamSnapshot| states.push(snap.state.clone());
+        let out = if reference {
+            run_stream_interpreted(plan, chunks, run, 1, snap)
+        } else {
+            run_stream_checked(plan, chunks, run, 1, snap)
+        }
         .expect("stream runs");
         states.push(out.state);
         states
@@ -165,8 +167,8 @@ mod engine_parity {
         ) {
             let plan = mbs_plan();
             let inputs = [Value::seq2_of_ints(&data)];
-            let interp = stream_states(plan, &inputs, chunk_rows, Engine::Interp);
-            let compiled = stream_states(plan, &inputs, chunk_rows, Engine::Compiled);
+            let interp = stream_states(plan, &inputs, chunk_rows, true);
+            let compiled = stream_states(plan, &inputs, chunk_rows, false);
             prop_assert_eq!(interp, compiled);
         }
     }

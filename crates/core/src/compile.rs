@@ -48,7 +48,7 @@
 
 #![warn(clippy::unwrap_used)]
 
-use crate::exec::PlanAcc;
+use crate::exec::{leaves, InterpDncTask, PlanAcc};
 use crate::schema::{Outcome, Parallelization};
 use parsynt_lang::ast::{BinOp, Expr, Program, Stmt, Sym, UnOp};
 use parsynt_lang::error::{LangError, Result as LangResult};
@@ -57,8 +57,11 @@ use parsynt_lang::interp::StateVec;
 use parsynt_lang::{Ty, Value};
 use parsynt_runtime::{RangeMapTask, RangeTask};
 use parsynt_trace as trace;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Why a plan could not be compiled (the fallback reason surfaced in the
 /// `compile_fallback` trace event).
@@ -118,58 +121,41 @@ impl FlatInput {
     /// leaf, a scalar where a sequence is expected, ...). Empty
     /// sequences are accepted at any level.
     pub fn from_value(value: &Value, depth: usize) -> Option<FlatInput> {
+        FlatInput::from_rows(value.as_seq()?, depth)
+    }
+
+    /// Flatten `rows`, the outer elements of a `depth`-dimensional
+    /// integer sequence (a whole input, or one chunk's rows of it),
+    /// into a view whose row 0 is `rows[0]`. `None` as for
+    /// [`FlatInput::from_value`].
+    pub fn from_rows(rows: &[Value], depth: usize) -> Option<FlatInput> {
         if !(1..=3).contains(&depth) {
             return None;
         }
-        let Value::Seq(outer) = value else {
-            return None;
-        };
         let mut flat = FlatInput {
-            depth,
-            n: outer.len(),
-            ..FlatInput::default()
+            n: rows.len(),
+            data: Vec::with_capacity(leaves(rows, depth)),
+            ..FlatInput::empty(depth)
         };
-        if depth >= 2 {
-            flat.off1.push(0);
-        }
-        if depth == 3 {
-            flat.off2.push(0);
-        }
         match depth {
-            1 => {
-                for item in outer {
-                    flat.data.push(item.as_int()?);
-                }
-            }
+            1 => push_ints(&mut flat.data, rows)?,
             2 => {
-                for row in outer {
-                    let Value::Seq(items) = row else {
-                        return None;
-                    };
-                    for item in items {
-                        flat.data.push(item.as_int()?);
-                    }
+                flat.off1.reserve(rows.len());
+                for row in rows {
+                    push_ints(&mut flat.data, row.as_seq()?)?;
                     flat.off1.push(flat.data.len());
                 }
             }
-            3 => {
-                for plane in outer {
-                    let Value::Seq(rows) = plane else {
-                        return None;
-                    };
-                    for row in rows {
-                        let Value::Seq(items) = row else {
-                            return None;
-                        };
-                        for item in items {
-                            flat.data.push(item.as_int()?);
-                        }
+            _ => {
+                flat.off1.reserve(rows.len());
+                for plane in rows {
+                    for row in plane.as_seq()? {
+                        push_ints(&mut flat.data, row.as_seq()?)?;
                         flat.off2.push(flat.data.len());
                     }
                     flat.off1.push(flat.off2.len() - 1);
                 }
             }
-            _ => return None,
         }
         Some(flat)
     }
@@ -199,6 +185,15 @@ impl FlatInput {
     pub fn depth(&self) -> usize {
         self.depth
     }
+}
+
+/// Append the integer scalars `items` to `data`; `None` on any other
+/// value.
+fn push_ints(data: &mut Vec<i64>, items: &[Value]) -> Option<()> {
+    for item in items {
+        data.push(item.as_int()?);
+    }
+    Some(())
 }
 
 /// A compiled state tuple: one `i64` slot per state declaration, in
@@ -1482,17 +1477,24 @@ pub fn compile_plan(plan: &Parallelization) -> std::result::Result<CompiledPlan,
     Ok(compiled)
 }
 
-pub(crate) fn emit_compile_fallback(reason: &str) {
+/// Trace that something runs on the interpreter instead of compiled
+/// kernels, and why; `chunks` counts the executor chunks that did.
+pub(crate) fn emit_compile_fallback(reason: &str, chunks: Option<usize>) {
     if trace::enabled() {
-        trace::point("execute", "compile_fallback", &[("reason", reason.into())]);
+        let mut fields = vec![("reason", reason.into())];
+        fields.extend(chunks.map(|n| ("chunks", n.into())));
+        trace::point("execute", "compile_fallback", &fields);
     }
 }
 
 /// A compiled divide-and-conquer plan as a runtime task over the rows
-/// of one flattened input.
+/// of one input: a pre-flattened [`FlatInput`] ([`CompiledDncTask::new`])
+/// or, as [`crate::run_plan_checked`] and plan streaming run it, the
+/// borrowed rows of a `Value` input, each chunk flattening only its own
+/// rows. A chunk whose rows do not flatten (a boolean leaf, a scalar
+/// where a row belongs) runs on the interpreter instead.
 ///
-/// As a [`RangeTask`] — how [`crate::run_plan_checked`] and plan
-/// streaming run it — chunks are row ranges and the accumulator is a
+/// As a [`RangeTask`], chunks are row ranges and the accumulator is a
 /// [`PlanAcc`], the interpreter's state vector or the first runtime
 /// error in input order, so compiled and interpreted chunks join
 /// interchangeably. As a slice [`parsynt_runtime::DncTask`], items are
@@ -1503,38 +1505,139 @@ pub(crate) fn emit_compile_fallback(reason: &str) {
 /// them, and go when it moves to the range form.
 pub struct CompiledDncTask<'a> {
     compiled: &'a CompiledPlan,
-    flat: &'a FlatInput,
+    source: Source<'a>,
+}
+
+/// Where a [`CompiledDncTask`] reads its rows.
+enum Source<'a> {
+    /// An input flattened up front.
+    Flat(&'a FlatInput),
+    /// Rows `base..base + main.len()` of the main input of `inputs`,
+    /// flattened per chunk; a chunk that does not flatten runs on
+    /// `plan`'s interpreter, counted in `interpreted`.
+    Rows {
+        plan: &'a Parallelization,
+        inputs: &'a [Value],
+        main: &'a [Value],
+        base: usize,
+        interpreted: AtomicUsize,
+    },
 }
 
 impl<'a> CompiledDncTask<'a> {
     /// Build the task; fails for map-only plans.
     pub fn new(compiled: &'a CompiledPlan, flat: &'a FlatInput) -> Option<Self> {
-        compiled
-            .is_divide_and_conquer()
-            .then_some(CompiledDncTask { compiled, flat })
+        compiled.is_divide_and_conquer().then_some(CompiledDncTask {
+            compiled,
+            source: Source::Flat(flat),
+        })
     }
 
-    /// The row ids the slice form executes over: `0..outer_len` (one
-    /// `u64` a row; the range form needs none).
-    pub fn items(&self) -> Vec<u64> {
-        (0..self.flat.outer_len() as u64).collect()
+    /// The task over the rows `rows` (all of them when `None`) of the
+    /// main input of `inputs`, for `compiled`, the divide-and-conquer
+    /// compiled form of `plan`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the main input is not a sequence.
+    pub(crate) fn over_rows(
+        compiled: &'a CompiledPlan,
+        plan: &'a Parallelization,
+        inputs: &'a [Value],
+        rows: Option<Range<usize>>,
+    ) -> LangResult<Self> {
+        let main = inputs
+            .get(compiled.main_index)
+            .and_then(Value::as_seq)
+            .ok_or_else(|| LangError::eval("main input is not a sequence"))?;
+        let rows = rows.unwrap_or(0..main.len());
+        Ok(CompiledDncTask {
+            compiled,
+            source: Source::Rows {
+                plan,
+                inputs,
+                base: rows.start,
+                main: &main[rows],
+                interpreted: AtomicUsize::new(0),
+            },
+        })
     }
+
+    /// The row ids the slice form executes over: `0..len` (one `u64` a
+    /// row; the range form needs none).
+    pub fn items(&self) -> Vec<u64> {
+        (0..RangeTask::len(self) as u64).collect()
+    }
+
+    /// Chunk attempts so far whose rows did not flatten and ran on the
+    /// interpreter.
+    pub(crate) fn interpreted_chunks(&self) -> usize {
+        match &self.source {
+            Source::Flat(_) => 0,
+            Source::Rows { interpreted, .. } => interpreted.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Rows `lo..hi`, flattened, or, when they do not flatten, the
+    /// interpreter task over exactly those rows (counted in
+    /// `interpreted`).
+    ///
+    /// # Errors
+    ///
+    /// Fails when the interpreter task cannot be built.
+    fn chunk(&self, lo: usize, hi: usize) -> LangResult<ChunkRows<'_, 'a>> {
+        Ok(match &self.source {
+            Source::Flat(flat) => ChunkRows::Flat(Cow::Borrowed(flat), lo..hi),
+            Source::Rows {
+                plan,
+                inputs,
+                main,
+                base,
+                interpreted,
+            } => match FlatInput::from_rows(&main[lo..hi], self.compiled.depth) {
+                Some(flat) => ChunkRows::Flat(Cow::Owned(flat), 0..hi - lo),
+                None => {
+                    interpreted.fetch_add(1, Ordering::Relaxed);
+                    let task = InterpDncTask::new(plan, inputs)?;
+                    ChunkRows::Interpreted(task.window(base + lo..base + hi))
+                }
+            },
+        })
+    }
+}
+
+/// One chunk of a [`CompiledDncTask`]'s rows, ready to run.
+enum ChunkRows<'t, 'a> {
+    /// Rows `range` of a flat input, for the compiled kernel.
+    Flat(Cow<'t, FlatInput>, Range<usize>),
+    /// The interpreter over rows that do not flatten.
+    Interpreted(InterpDncTask<'a>),
 }
 
 impl RangeTask for CompiledDncTask<'_> {
     type Acc = PlanAcc;
 
     fn len(&self) -> usize {
-        self.flat.outer_len()
+        match &self.source {
+            Source::Flat(flat) => flat.outer_len(),
+            Source::Rows { main, .. } => main.len(),
+        }
     }
 
     fn leaves(&self) -> usize {
-        self.flat.leaves()
+        match &self.source {
+            Source::Flat(flat) => flat.leaves(),
+            Source::Rows { main, .. } => leaves(main, self.compiled.depth),
+        }
     }
 
     fn work(&self, lo: usize, hi: usize) -> PlanAcc {
-        self.compiled
-            .plan_acc(self.compiled.summarize(self.flat, lo, hi))
+        match self.chunk(lo, hi)? {
+            ChunkRows::Flat(flat, rows) => self
+                .compiled
+                .plan_acc(self.compiled.summarize(&flat, rows.start, rows.end)),
+            ChunkRows::Interpreted(task) => RangeTask::work(&task, 0, hi - lo),
+        }
     }
 
     fn join(&self, left: PlanAcc, right: PlanAcc) -> PlanAcc {
@@ -1543,11 +1646,20 @@ impl RangeTask for CompiledDncTask<'_> {
     }
 
     fn resume(&self, prefix: &PlanAcc, lo: usize, hi: usize) -> Option<PlanAcc> {
-        let state = match self.compiled.cstate(prefix.clone()) {
-            Ok(from) => self.compiled.summarize_from(self.flat, lo, hi, &from),
+        let from = match self.compiled.cstate(prefix.clone()) {
+            Ok(from) => from,
             Err(e) => return Some(Err(e)),
         };
-        Some(self.compiled.plan_acc(state))
+        match self.chunk(lo, hi) {
+            Ok(ChunkRows::Flat(flat, rows)) => Some(
+                self.compiled.plan_acc(
+                    self.compiled
+                        .summarize_from(&flat, rows.start, rows.end, &from),
+                ),
+            ),
+            Ok(ChunkRows::Interpreted(task)) => task.resume(prefix, 0, hi - lo),
+            Err(e) => Some(Err(e)),
+        }
     }
 }
 
@@ -1565,7 +1677,10 @@ impl parsynt_runtime::DncTask for CompiledDncTask<'_> {
         };
         let lo = first as usize;
         let hi = lo + chunk.len();
-        match self.compiled.summarize(self.flat, lo, hi) {
+        let Ok(ChunkRows::Flat(flat, rows)) = self.chunk(lo, hi) else {
+            panic!("compiled kernel error: rows {lo}..{hi} do not flatten");
+        };
+        match self.compiled.summarize(&flat, rows.start, rows.end) {
             Ok(state) => state,
             Err(msg) => panic!("compiled kernel error: {msg}"),
         }
@@ -1580,17 +1695,23 @@ impl parsynt_runtime::DncTask for CompiledDncTask<'_> {
 }
 
 /// A compiled map-only plan as a runtime task over the rows of one
-/// flattened input: a block is the mapped rows' inner-accumulator
-/// values, the fold is the compiled outer phase, and the accumulator is
-/// a [`PlanAcc`].
+/// flattened input, borrowed ([`CompiledMapOnlyTask::new`]) or owned:
+/// a block is the mapped rows' inner-accumulator values, the fold is
+/// the compiled outer phase, and the accumulator is a [`PlanAcc`].
 pub struct CompiledMapOnlyTask<'a> {
     compiled: &'a CompiledPlan,
-    flat: &'a FlatInput,
+    flat: Cow<'a, FlatInput>,
 }
 
 impl<'a> CompiledMapOnlyTask<'a> {
     /// Build the task; fails for divide-and-conquer plans.
     pub fn new(compiled: &'a CompiledPlan, flat: &'a FlatInput) -> Option<Self> {
+        Self::with_flat(compiled, Cow::Borrowed(flat))
+    }
+
+    /// The task owning its flattened input; `None` as for
+    /// [`CompiledMapOnlyTask::new`].
+    pub(crate) fn with_flat(compiled: &'a CompiledPlan, flat: Cow<'a, FlatInput>) -> Option<Self> {
         (!compiled.is_divide_and_conquer()).then_some(CompiledMapOnlyTask { compiled, flat })
     }
 }
@@ -1608,13 +1729,13 @@ impl RangeMapTask for CompiledMapOnlyTask<'_> {
     }
 
     fn map(&self, lo: usize, hi: usize) -> Self::Block {
-        self.compiled.map_rows(self.flat, lo, hi)
+        self.compiled.map_rows(&self.flat, lo, hi)
     }
 
     fn fold(&self, acc: PlanAcc, lo: usize, hi: usize, block: Self::Block) -> PlanAcc {
         let from = self.compiled.cstate(acc)?;
         let state =
-            block.and_then(|block| self.compiled.fold_rows(self.flat, lo, hi, &block, &from));
+            block.and_then(|block| self.compiled.fold_rows(&self.flat, lo, hi, &block, &from));
         self.compiled.plan_acc(state)
     }
 }
@@ -1649,6 +1770,24 @@ mod tests {
         assert!(FlatInput::from_value(&v, 1).is_none());
         assert!(FlatInput::from_value(&v, 3).is_none());
         assert!(FlatInput::from_value(&Value::Int(3), 1).is_none());
+    }
+
+    #[test]
+    fn rows_flatten_as_their_own_input() {
+        let v = Value::seq3_of_ints(&[vec![vec![9]], vec![vec![1], vec![2, 3]], vec![vec![4]]]);
+        let rows = &v.as_seq().unwrap()[1..];
+        let expected = Value::Seq(rows.to_vec());
+        assert_eq!(
+            FlatInput::from_rows(rows, 3),
+            FlatInput::from_value(&expected, 3)
+        );
+        let flat = FlatInput::from_rows(rows, 3).unwrap();
+        assert_eq!((flat.outer_len(), flat.leaves()), (2, 4));
+        // A boolean leaf or a scalar row does not flatten.
+        let with_bool = [Value::Seq(vec![Value::Int(1), Value::Bool(true)])];
+        assert!(FlatInput::from_rows(&with_bool, 2).is_none());
+        assert!(FlatInput::from_rows(&[Value::Int(1)], 2).is_none());
+        assert!(FlatInput::from_rows(&[], 4).is_none());
     }
 
     #[test]

@@ -5,10 +5,14 @@
 //! recovery. One private chooser picks the task, for batch runs and for
 //! every stream chunk alike: the compiled fused kernels of
 //! [`crate::compile`] ([`CompiledDncTask`], [`CompiledMapOnlyTask`])
-//! when the compiler covers the plan and the main input flattens,
-//! otherwise the interpreter-backed [`InterpDncTask`] or
-//! [`InterpMapOnlyTask`], which run the synthesized artifacts
-//! themselves (the transformed program and the synthesized join).
+//! when the compiler covers the plan, otherwise the interpreter-backed
+//! [`InterpDncTask`] or [`InterpMapOnlyTask`], which run the
+//! synthesized artifacts themselves (the transformed program and the
+//! synthesized join). The compiled divide-and-conquer task borrows the
+//! main input's rows and flattens each chunk's own; a chunk whose rows
+//! do not flatten runs on the interpreter. A compiled map-only task
+//! flattens its whole input first, and runs on the interpreter when it
+//! does not flatten.
 //!
 //! The interpreter is also the reference the tests compare against:
 //! [`run_plan_interpreted`] (and
@@ -21,7 +25,8 @@
 //! order winning.
 //!
 //! The divide-and-conquer tasks report the leaf scalars of their main
-//! input ([`RangeTask::leaves`]), so the config's grain counts leaves
+//! input ([`RangeTask::leaves`], counted from the row lengths without
+//! reading a scalar), so the config's grain counts leaves
 //! (the unit of the paper's 50k-element grain) and the executor
 //! converts it to rows at the input's density: a 2-D input of long rows
 //! still splits into many chunks.
@@ -38,6 +43,8 @@ use parsynt_lang::{Program, Value};
 use parsynt_runtime::{Executor, RangeMapTask, RangeTask, RunConfig, RuntimeError, StreamSession};
 use parsynt_synth::join::{apply_join, JoinVocab, SynthesizedJoin};
 use parsynt_trace as trace;
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// The accumulator of every plan task: the state vector over a range,
 /// or the first runtime error in input order.
@@ -63,8 +70,11 @@ pub struct InterpDncTask<'a> {
     inputs: &'a [Value],
     join: &'a SynthesizedJoin,
     vocab: &'a JoinVocab,
-    rows: usize,
-    leaves: usize,
+    depth: usize,
+    /// The rows the task runs over: `base..base + main.len()` of the
+    /// main input.
+    main: &'a [Value],
+    base: usize,
 }
 
 impl<'a> InterpDncTask<'a> {
@@ -79,16 +89,27 @@ impl<'a> InterpDncTask<'a> {
             return Err(LangError::eval("not a divide-and-conquer parallelization"));
         };
         let f = RightwardFn::new(&plan.program)?;
-        let rows = main_rows(&f, inputs)?;
-        let leaves = leaves(&inputs[f.main_input()]);
+        let main = main_seq(&f, inputs)?;
+        let depth = plan.program.inputs[f.main_input()].ty.dim();
         Ok(InterpDncTask {
             f,
             inputs,
             join,
             vocab,
-            rows,
-            leaves,
+            depth,
+            main,
+            base: 0,
         })
+    }
+
+    /// The task narrowed to its rows `rows`, which run as the input set
+    /// with the main input sliced to them.
+    pub(crate) fn window(self, rows: Range<usize>) -> Self {
+        InterpDncTask {
+            base: self.base + rows.start,
+            main: &self.main[rows],
+            ..self
+        }
     }
 }
 
@@ -96,15 +117,16 @@ impl RangeTask for InterpDncTask<'_> {
     type Acc = PlanAcc;
 
     fn len(&self) -> usize {
-        self.rows
+        self.main.len()
     }
 
     fn leaves(&self) -> usize {
-        self.leaves
+        leaves(self.main, self.depth)
     }
 
     fn work(&self, lo: usize, hi: usize) -> PlanAcc {
-        if (lo, hi) == (0, self.rows) {
+        let (lo, hi) = (self.base + lo, self.base + hi);
+        if lo == 0 && self.inputs[self.f.main_input()].len() == Some(hi) {
             self.f.apply(self.inputs)
         } else {
             self.f.apply_slice(self.inputs, lo, hi)
@@ -119,7 +141,9 @@ impl RangeTask for InterpDncTask<'_> {
 
     fn resume(&self, prefix: &PlanAcc, lo: usize, hi: usize) -> Option<PlanAcc> {
         Some(match prefix {
-            Ok(from) => self.f.apply_slice_from(self.inputs, lo, hi, from),
+            Ok(from) => self
+                .f
+                .apply_slice_from(self.inputs, self.base + lo, self.base + hi, from),
             Err(e) => Err(e.clone()),
         })
     }
@@ -130,7 +154,7 @@ impl RangeTask for InterpDncTask<'_> {
 /// continues the outer phase over them.
 pub struct InterpMapOnlyTask<'a> {
     f: RightwardFn<'a>,
-    inputs: &'a [Value],
+    inputs: Cow<'a, [Value]>,
     rows: usize,
 }
 
@@ -150,7 +174,30 @@ impl<'a> InterpMapOnlyTask<'a> {
         }
         let f = RightwardFn::new(program)?;
         let rows = main_rows(&f, inputs)?;
-        Ok(InterpMapOnlyTask { f, inputs, rows })
+        Ok(InterpMapOnlyTask {
+            f,
+            inputs: Cow::Borrowed(inputs),
+            rows,
+        })
+    }
+
+    /// The task over the input set with the main input sliced to `rows`
+    /// (copied, since the map phase and the initializers read the input
+    /// set whole).
+    ///
+    /// # Errors
+    ///
+    /// Fails when `rows` is out of bounds.
+    fn window(self, rows: Range<usize>) -> Result<Self> {
+        if rows == (0..self.rows) {
+            return Ok(self);
+        }
+        let inputs = self.f.slice_inputs(&self.inputs, rows.start, rows.end)?;
+        Ok(InterpMapOnlyTask {
+            inputs: Cow::Owned(inputs),
+            rows: rows.len(),
+            ..self
+        })
     }
 }
 
@@ -164,39 +211,49 @@ impl RangeMapTask for InterpMapOnlyTask<'_> {
 
     fn init(&self) -> PlanAcc {
         let program = self.f.program();
-        let env = parsynt_lang::interp::init_env(program, self.inputs)?;
+        let env = parsynt_lang::interp::init_env(program, &self.inputs)?;
         parsynt_lang::interp::read_state(program, &env)
     }
 
     fn map(&self, lo: usize, hi: usize) -> Self::Block {
         (lo..hi)
-            .map(|i| self.f.inner_phase_from_zero(self.inputs, i))
+            .map(|i| self.f.inner_phase_from_zero(&self.inputs, i))
             .collect()
     }
 
     fn fold(&self, acc: PlanAcc, lo: usize, _hi: usize, block: Self::Block) -> PlanAcc {
         let mut state = acc?;
         for (i, inner) in (lo..).zip(block?) {
-            state = self.f.outer_phase_from(self.inputs, i, &state, &inner)?;
+            state = self.f.outer_phase_from(&self.inputs, i, &state, &inner)?;
         }
         Ok(state)
     }
 }
 
-/// The number of rows of the main input.
-pub(crate) fn main_rows(f: &RightwardFn<'_>, inputs: &[Value]) -> Result<usize> {
+/// The rows of the main input.
+fn main_seq<'v>(f: &RightwardFn<'_>, inputs: &'v [Value]) -> Result<&'v [Value]> {
     inputs
         .get(f.main_input())
-        .and_then(Value::len)
+        .and_then(Value::as_seq)
         .ok_or_else(|| LangError::eval("main input is not a sequence"))
 }
 
-/// The number of leaf scalars in `value`.
-fn leaves(value: &Value) -> usize {
-    match value {
-        Value::Seq(items) => items.iter().map(leaves).sum(),
-        _ => 1,
+/// The number of rows of the main input.
+pub(crate) fn main_rows(f: &RightwardFn<'_>, inputs: &[Value]) -> Result<usize> {
+    main_seq(f, inputs).map(<[Value]>::len)
+}
+
+/// The leaf scalars under `rows`, the outer elements of a
+/// `depth`-dimensional input, counted from the sequence lengths one
+/// level above the scalars so that no scalar is read. A scalar where a
+/// sequence belongs counts as one leaf.
+pub(crate) fn leaves(rows: &[Value], depth: usize) -> usize {
+    if depth <= 1 {
+        return rows.len();
     }
+    rows.iter()
+        .map(|row| row.as_seq().map_or(1, |inner| leaves(inner, depth - 1)))
+        .sum()
 }
 
 /// Map a runtime failure (a chunk that panicked through retry and
@@ -213,9 +270,12 @@ pub(crate) fn compile_if(plan: &Parallelization, compile: bool) -> Option<Compil
         return None;
     }
     compile_plan(plan)
-        .map_err(|e| emit_compile_fallback(e.reason()))
+        .map_err(|e| emit_compile_fallback(e.reason(), None))
         .ok()
 }
+
+/// The reason a chunk of a compiled plan runs on the interpreter.
+const UNFLATTENABLE: &str = "main input is not a flattenable int sequence";
 
 /// The task that runs a plan over one input set (a batch run or one
 /// stream chunk).
@@ -227,10 +287,14 @@ pub(crate) enum PlanTask<'a> {
 }
 
 impl<'a> PlanTask<'a> {
-    /// Choose the task for `inputs`: `compiled`'s kernels when it is
-    /// given and the main input flattens (into `flat`, which the task
-    /// borrows), the interpreter otherwise — after a `compile_fallback`
-    /// trace event when the input was the reason.
+    /// Choose the task for the rows `rows` of the main input of
+    /// `inputs` (all of them when `None`), run as the input set with the
+    /// main input sliced to them: `compiled`'s kernels when it is given,
+    /// the interpreter otherwise. A compiled divide-and-conquer task
+    /// borrows the rows and flattens each chunk's own; a compiled
+    /// map-only task flattens all its rows up front, and runs on the
+    /// interpreter after a `compile_fallback` trace event when they do
+    /// not flatten.
     ///
     /// # Errors
     ///
@@ -240,28 +304,35 @@ impl<'a> PlanTask<'a> {
         plan: &'a Parallelization,
         compiled: Option<&'a CompiledPlan>,
         inputs: &'a [Value],
-        flat: &'a mut Option<FlatInput>,
+        rows: Option<Range<usize>>,
     ) -> Result<Self> {
-        if let Some(cp) = compiled {
-            match inputs.get(cp.main_index()).and_then(|v| cp.flatten(v)) {
-                Some(f) => {
-                    let flat = flat.insert(f);
-                    if let Some(task) = CompiledDncTask::new(cp, flat) {
-                        return Ok(PlanTask::CompiledDnc(task));
-                    }
-                    if let Some(task) = CompiledMapOnlyTask::new(cp, flat) {
-                        return Ok(PlanTask::CompiledMapOnly(task));
+        match &plan.outcome {
+            Outcome::DivideAndConquer { .. } => match compiled {
+                Some(cp) if cp.is_divide_and_conquer() => {
+                    CompiledDncTask::over_rows(cp, plan, inputs, rows).map(PlanTask::CompiledDnc)
+                }
+                _ => {
+                    let task = InterpDncTask::new(plan, inputs)?;
+                    let rows = rows.unwrap_or(0..task.main.len());
+                    Ok(PlanTask::InterpDnc(task.window(rows)))
+                }
+            },
+            Outcome::MapOnly => {
+                if let Some(cp) = compiled {
+                    let main = inputs.get(cp.main_index()).and_then(Value::as_seq);
+                    let flat = main.and_then(|main| {
+                        let rows = rows.clone().unwrap_or(0..main.len());
+                        FlatInput::from_rows(&main[rows], cp.input_depth())
+                    });
+                    match flat.and_then(|flat| CompiledMapOnlyTask::with_flat(cp, Cow::Owned(flat)))
+                    {
+                        Some(compiled) => return Ok(PlanTask::CompiledMapOnly(compiled)),
+                        None => emit_compile_fallback(UNFLATTENABLE, None),
                     }
                 }
-                None => emit_compile_fallback("main input is not a flattenable int sequence"),
-            }
-        }
-        match &plan.outcome {
-            Outcome::DivideAndConquer { .. } => {
-                InterpDncTask::new(plan, inputs).map(PlanTask::InterpDnc)
-            }
-            Outcome::MapOnly => {
-                InterpMapOnlyTask::new(&plan.program, inputs).map(PlanTask::InterpMapOnly)
+                let task = InterpMapOnlyTask::new(&plan.program, inputs)?;
+                let rows = rows.unwrap_or(0..task.rows);
+                task.window(rows).map(PlanTask::InterpMapOnly)
             }
             Outcome::Unparallelizable { reason } => Err(LangError::eval(format!(
                 "cannot execute an unparallelizable plan ({reason})"
@@ -282,8 +353,21 @@ impl<'a> PlanTask<'a> {
         match self {
             PlanTask::CompiledDnc(t) => RangeTask::len(t),
             PlanTask::CompiledMapOnly(t) => RangeMapTask::len(t),
-            PlanTask::InterpDnc(t) => t.rows,
+            PlanTask::InterpDnc(t) => RangeTask::len(t),
             PlanTask::InterpMapOnly(t) => t.rows,
+        }
+    }
+
+    /// Emit a `compile_fallback` trace event counting the chunk attempts
+    /// of a compiled task whose rows did not flatten. Chunks run on
+    /// worker threads, which have no tracer, so the count is reported
+    /// from the calling thread once the run is over.
+    fn report_interpreted_chunks(&self) {
+        if let PlanTask::CompiledDnc(t) = self {
+            let chunks = t.interpreted_chunks();
+            if chunks > 0 {
+                emit_compile_fallback(UNFLATTENABLE, Some(chunks));
+            }
         }
     }
 
@@ -294,8 +378,9 @@ impl<'a> PlanTask<'a> {
             PlanTask::CompiledMapOnly(t) => exec.run_map_range(t),
             PlanTask::InterpDnc(t) => exec.run_range(t),
             PlanTask::InterpMapOnly(t) => exec.run_map_range(t),
-        }
-        .map_err(runtime_error)?;
+        };
+        self.report_interpreted_chunks();
+        let out = out.map_err(runtime_error)?;
         Ok(ExecOutcome {
             state: out.value?,
             degraded: out.degraded,
@@ -305,13 +390,14 @@ impl<'a> PlanTask<'a> {
 
     /// Push the task as the next chunk of `stream`.
     pub(crate) fn push(&self, stream: &mut StreamSession<'_, PlanAcc>) -> Result<()> {
-        match self {
+        let pushed = match self {
             PlanTask::CompiledDnc(t) => stream.push(t),
             PlanTask::CompiledMapOnly(t) => stream.push_map(t),
             PlanTask::InterpDnc(t) => stream.push(t),
             PlanTask::InterpMapOnly(t) => stream.push_map(t),
-        }
-        .map_err(runtime_error)
+        };
+        self.report_interpreted_chunks();
+        pushed.map_err(runtime_error)
     }
 }
 
@@ -359,8 +445,7 @@ fn run_plan(
 ) -> Result<ExecOutcome> {
     let mut span = trace::span("execute", "run_plan");
     let compiled = compile_if(plan, compile);
-    let mut flat = None;
-    let task = PlanTask::choose(plan, compiled.as_ref(), inputs, &mut flat)?;
+    let task = PlanTask::choose(plan, compiled.as_ref(), inputs, None)?;
     span.record("engine", task.engine());
     span.record("rows", task.rows());
     task.run(&Executor::new(*run))
@@ -388,6 +473,18 @@ mod tests {
             let par = run_plan_interpreted(plan, std::slice::from_ref(&input), &run).unwrap();
             assert_eq!(par.state, seq, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn leaves_are_counted_from_row_lengths() {
+        let v = Value::seq3_of_ints(&[vec![vec![1, 2], vec![]], vec![vec![3, 4, 5]]]);
+        let rows = v.as_seq().unwrap();
+        assert_eq!(leaves(rows, 3), 5);
+        assert_eq!(leaves(&rows[1..], 3), 3);
+        assert_eq!(leaves(rows, 1), 2);
+        // A scalar where a row belongs counts as one leaf.
+        let ragged = [Value::seq_of_ints(&[1, 2]), Value::Int(7)];
+        assert_eq!(leaves(&ragged, 2), 3);
     }
 
     #[test]

@@ -39,7 +39,8 @@
 //! Synthesized plans execute on [`parsynt_runtime::Executor`]
 //! ([`run_plan_checked`], [`PipelineReport::execute`]) as one of four
 //! range tasks — [`CompiledDncTask`] / [`CompiledMapOnlyTask`] (fused
-//! native kernels) whenever the compiler covers the plan, otherwise
+//! native kernels, each chunk flattening its own rows of the borrowed
+//! input) whenever the compiler covers the plan, otherwise
 //! [`InterpDncTask`] / [`InterpMapOnlyTask`] (the interpreter) — so the
 //! config's backend, thread count and grain apply, and the runtime's
 //! retry/degrade path is the only one. [`run_plan_interpreted`] and

@@ -36,7 +36,7 @@ use crate::exec::run_plan_checked;
 use crate::fingerprint::{fingerprint, fingerprint_hex};
 use crate::proof::homomorphism_law_checks;
 use crate::schema::{run_schema, Outcome, Parallelization, Report};
-use crate::stream::{chunk_value_inputs, run_stream_checked, StreamSnapshot};
+use crate::stream::{run_stream_rows, StreamSnapshot};
 use parsynt_lang::ast::Program;
 use parsynt_lang::error::{LangError, Result};
 use parsynt_lang::interp::StateVec;
@@ -488,10 +488,10 @@ impl PipelineReport {
     where
         F: FnMut(&StreamSnapshot),
     {
-        let chunks = chunk_value_inputs(&self.parallelization, inputs, chunk_rows)?;
-        let out = run_stream_checked(
+        let out = run_stream_rows(
             &self.parallelization,
-            chunks,
+            inputs,
+            chunk_rows,
             self.run,
             snapshot_every,
             on_snapshot,

@@ -18,13 +18,18 @@
 //! end-of-input state is byte-identical to the batch path either way.
 //!
 //! Each chunk's task is chosen as [`crate::run_plan_checked`] chooses
-//! it: compiled kernels when the plan compiles (once per stream) and the
-//! chunk's main input flattens, the interpreter otherwise — for the
-//! whole stream on uncompilable plans, per chunk on unflattenable
-//! inputs — with a `compile_fallback` trace event. All tasks share one
-//! accumulator type, so compiled and interpreted chunks stream
-//! byte-identical states and snapshots; [`run_stream_interpreted`] is
-//! the interpreted reference the tests compare against.
+//! it: compiled kernels when the plan compiles (once per stream), the
+//! interpreter for the whole stream otherwise, and per executor chunk
+//! (divide-and-conquer) or per stream chunk (map-only) whose rows do
+//! not flatten, with a `compile_fallback` trace event. A stream chunk
+//! is an input set of its own ([`run_stream_checked`]) or a range of
+//! the borrowed input's rows
+//! ([`crate::PipelineReport::execute_stream_with`]), which compiled
+//! chunks flatten in place and only interpreted ones copy. All tasks
+//! share one accumulator type, so compiled and interpreted chunks
+//! stream byte-identical states and snapshots;
+//! [`run_stream_interpreted`] is the interpreted reference the tests
+//! compare against.
 
 use crate::exec::{compile_if, main_rows, PlanAcc, PlanTask};
 use crate::schema::Parallelization;
@@ -34,6 +39,7 @@ use parsynt_lang::interp::StateVec;
 use parsynt_lang::Value;
 use parsynt_runtime::{Executor, RunConfig};
 use parsynt_trace as trace;
+use std::ops::Range;
 use std::time::Duration;
 
 /// A progressive partial-prefix result of a streaming execution.
@@ -100,11 +106,18 @@ pub fn chunk_value_inputs(
 ) -> Result<Vec<Vec<Value>>> {
     let f = RightwardFn::new(&parallelization.program)?;
     let n = main_rows(&f, inputs)?;
+    row_chunks(n, chunk_rows)
+        .map(|rows| f.slice_inputs(inputs, rows.start, rows.end))
+        .collect()
+}
+
+/// `0..n` cut into consecutive `chunk_rows`-row ranges (the last one
+/// shorter).
+fn row_chunks(n: usize, chunk_rows: usize) -> impl Iterator<Item = Range<usize>> {
     let chunk_rows = chunk_rows.max(1);
     (0..n)
         .step_by(chunk_rows)
-        .map(|lo| f.slice_inputs(inputs, lo, (lo + chunk_rows).min(n)))
-        .collect()
+        .map(move |lo| lo..(lo + chunk_rows).min(n))
 }
 
 /// Execute a parallelization as an online aggregation over an iterator
@@ -131,6 +144,7 @@ where
     I: IntoIterator<Item = Vec<Value>>,
     F: FnMut(&StreamSnapshot),
 {
+    let chunks = chunks.into_iter().map(Chunk::Owned);
     run_stream(
         parallelization,
         chunks,
@@ -159,6 +173,7 @@ where
     I: IntoIterator<Item = Vec<Value>>,
     F: FnMut(&StreamSnapshot),
 {
+    let chunks = chunks.into_iter().map(Chunk::Owned);
     run_stream(
         parallelization,
         chunks,
@@ -169,7 +184,47 @@ where
     )
 }
 
-fn run_stream<I, F>(
+/// [`run_stream_checked`] over `inputs` cut as [`chunk_value_inputs`]
+/// cuts it, without copying the chunks: each chunk is a range of the
+/// borrowed main input's rows, which compiled chunks flatten in place
+/// and only interpreted ones copy.
+///
+/// # Errors
+///
+/// As [`chunk_value_inputs`], then as [`run_stream_checked`].
+pub(crate) fn run_stream_rows<F>(
+    parallelization: &Parallelization,
+    inputs: &[Value],
+    chunk_rows: usize,
+    run: RunConfig,
+    snapshot_every: usize,
+    on_snapshot: F,
+) -> Result<StreamExecOutcome>
+where
+    F: FnMut(&StreamSnapshot),
+{
+    let f = RightwardFn::new(&parallelization.program)?;
+    let n = main_rows(&f, inputs)?;
+    let chunks = row_chunks(n, chunk_rows).map(|rows| Chunk::Rows(inputs, rows));
+    run_stream(
+        parallelization,
+        chunks,
+        run,
+        snapshot_every,
+        on_snapshot,
+        true,
+    )
+}
+
+/// One chunk of a stream.
+enum Chunk<'a> {
+    /// An input set of its own.
+    Owned(Vec<Value>),
+    /// Rows of a borrowed input set's main input.
+    Rows(&'a [Value], Range<usize>),
+}
+
+fn run_stream<'a, I, F>(
     parallelization: &Parallelization,
     chunks: I,
     run: RunConfig,
@@ -178,7 +233,7 @@ fn run_stream<I, F>(
     compile: bool,
 ) -> Result<StreamExecOutcome>
 where
-    I: IntoIterator<Item = Vec<Value>>,
+    I: Iterator<Item = Chunk<'a>>,
     F: FnMut(&StreamSnapshot),
 {
     if parallelization.is_unparallelizable() {
@@ -204,13 +259,19 @@ where
     let mut stream = exec.stream_ranges(empty);
     let mut snapshots = 0usize;
 
-    for chunk_inputs in chunks {
-        if main_rows(&f, &chunk_inputs)? == 0 {
+    for chunk in chunks {
+        let (inputs, rows) = match &chunk {
+            Chunk::Owned(inputs) => (inputs.as_slice(), None),
+            Chunk::Rows(inputs, rows) => (*inputs, Some(rows.clone())),
+        };
+        let n = match &rows {
+            Some(rows) => rows.len(),
+            None => main_rows(&f, inputs)?,
+        };
+        if n == 0 {
             continue;
         }
-        let mut flat = None;
-        PlanTask::choose(parallelization, compiled.as_ref(), &chunk_inputs, &mut flat)?
-            .push(&mut stream)?;
+        PlanTask::choose(parallelization, compiled.as_ref(), inputs, rows)?.push(&mut stream)?;
         if let Err(e) = stream.value() {
             return Err(e.clone());
         }

@@ -101,10 +101,11 @@ pub struct RunConfig {
     /// Number of worker threads.
     pub threads: usize,
     /// Grain size in items (the paper's experiments use 50k elements):
-    /// a run of at most one grain stays on the calling thread, and the
-    /// work-stealing backend cuts longer runs into grain-sized chunks.
-    /// Synthesized plans count it in leaves (scalars of the main input)
-    /// and convert it to rows per input.
+    /// a run of at most one grain is one chunk on the calling thread,
+    /// and the work-stealing backend cuts longer runs into grain-sized
+    /// chunks at every thread count (one thread runs them in order on
+    /// the calling thread). Synthesized plans count it in leaves
+    /// (scalars of the main input) and convert it to rows per input.
     pub grain: usize,
     /// Scheduling backend.
     pub backend: Backend,
@@ -256,10 +257,12 @@ impl Executor {
 
     /// Run a range task in parallel according to the executor's config.
     ///
-    /// The grain counts [`RangeTask::leaves`]. A run of one thread, or
-    /// of at most one grain, is one chunk on the calling thread;
-    /// otherwise the work-stealing backend cuts it into grain-sized
-    /// chunks and the static backend into one chunk per thread.
+    /// The grain counts [`RangeTask::leaves`]. A run of at most one
+    /// grain is one chunk on the calling thread. A longer run is cut
+    /// into grain-sized chunks by the work-stealing backend, at any
+    /// thread count, and into one chunk per thread by the static
+    /// backend; with one thread, the chunks run in order on the calling
+    /// thread.
     /// Equivalent to `task.work(0, len)` whenever the join
     /// satisfies the homomorphism law; chunk results are always joined
     /// in input order, so non-commutative joins are safe. A panicking
@@ -388,7 +391,7 @@ impl Executor {
                 .unwrap_or(usize::MAX),
         }
         .max(1);
-        if threads == 1 || n <= grain {
+        if n <= grain {
             return vec![(0, n)];
         }
         let size = match self.config.backend {
@@ -401,10 +404,12 @@ impl Executor {
             .collect()
     }
 
-    /// Attempt every range once — on the calling thread when there is
-    /// only one (no span or counters), otherwise on scoped workers under
-    /// `backend` — then retry each failed range once on the calling
-    /// thread.
+    /// Attempt every range once, then retry each failed range once on
+    /// the calling thread. The first attempts run in order on the
+    /// calling thread when there is one range or one thread, otherwise
+    /// on scoped workers under `backend`. Several ranges open a
+    /// `run_parallel` span and count their chunks, whichever thread
+    /// runs them.
     fn attempt<R: Send>(
         &self,
         ranges: &[(usize, usize)],
@@ -412,8 +417,16 @@ impl Executor {
         work: &(dyn Fn(usize, usize) -> R + Sync),
     ) -> Attempts<R> {
         let faults = self.fault_arg();
-        let first = if let [(lo, hi)] = *ranges {
-            vec![guarded(work, lo, hi, 0, 0, faults)]
+        let threads = self.config.threads.max(1);
+        let in_order = || -> Vec<Result<R, String>> {
+            ranges
+                .iter()
+                .enumerate()
+                .map(|(chunk, &(lo, hi))| guarded(work, lo, hi, chunk, 0, faults))
+                .collect()
+        };
+        let first = if ranges.len() == 1 {
+            in_order()
         } else {
             let mut span = trace::span("execute", "run_parallel");
             if span.is_enabled() {
@@ -430,10 +443,9 @@ impl Executor {
                 trace::counter("execute", "chunks", ranges.len() as u64);
             }
             match backend {
+                _ if threads == 1 => in_order(),
                 Backend::Static => static_attempts(ranges, work, faults),
-                Backend::WorkStealing => {
-                    stealing_attempts(ranges, self.config.threads.max(1), work, faults)
-                }
+                Backend::WorkStealing => stealing_attempts(ranges, threads, work, faults),
             }
         };
         let mut out = Attempts {
@@ -906,7 +918,7 @@ mod tests {
 
     /// A run of one chunk — attempt, retry and sequential fallback —
     /// stays on the calling thread; a run of several chunks goes to
-    /// workers under both backends.
+    /// workers under both backends when there are several threads.
     #[test]
     fn single_chunk_runs_on_the_caller_with_retry_and_fallback() {
         let caller = std::thread::current().id();
@@ -947,6 +959,51 @@ mod tests {
             assert!(threads.len() > 1, "{backend:?}");
             assert!(threads.iter().all(|&t| t != caller), "{backend:?}");
         }
+    }
+
+    /// A one-thread work-stealing run longer than one grain cuts
+    /// ⌈n/grain⌉ chunks and runs them in order on the calling thread,
+    /// through the same retry and sequential fallback as a parallel run;
+    /// the static backend keeps one chunk per thread.
+    #[test]
+    fn one_thread_cuts_grain_sized_chunks_on_the_caller() {
+        use parsynt_trace::sinks::PhaseAggregator;
+        let caller = std::thread::current().id();
+        let exec = Executor::new(RunConfig::work_stealing(1).with_grain(3));
+        let agg = PhaseAggregator::new();
+        let out = {
+            let _guard = trace::set_ambient(trace::Tracer::from_sink(agg.clone()));
+            exec.run(&FirstLast, &data(10)).unwrap()
+        };
+        assert_eq!(out.value, data(10));
+        assert_eq!(agg.counters()["execute.chunks"], 4);
+        assert!(agg.phase_timings().contains_key("execute"));
+        // One call per chunk, in order, all on the caller.
+        let probe = ThreadProbe::new(10, 0);
+        assert_eq!(exec.run_range(&probe).unwrap().value, 10);
+        assert_eq!(probe.threads(), vec![caller; 4]);
+        // The first attempt panics: the retry recovers that chunk.
+        let flaky = ThreadProbe::new(10, 1);
+        let out = exec.run_range(&flaky).unwrap();
+        assert_eq!(
+            (out.value, out.recovered_chunks, out.degraded),
+            (10, 1, false)
+        );
+        assert_eq!(flaky.threads(), vec![caller; 5]);
+        // Every first attempt and the first chunk's retry panic: the
+        // other retries recover, then the sequential fallback runs.
+        let failing = ThreadProbe::new(10, 5);
+        let out = exec.run_range(&failing).unwrap();
+        assert_eq!(
+            (out.value, out.recovered_chunks, out.degraded),
+            (10, 3, true)
+        );
+        assert_eq!(failing.threads(), vec![caller; 9]);
+        // Static scheduling: one chunk for the one thread.
+        let single = ThreadProbe::new(10, 0);
+        let exec = Executor::new(RunConfig::static_schedule(1).with_grain(3));
+        assert_eq!(exec.run_range(&single).unwrap().value, 10);
+        assert_eq!(single.threads(), vec![caller]);
     }
 
     struct CountPositive;

@@ -91,8 +91,9 @@
 //!
 //! * `execute/run_parallel` (span, `fields.threads`, `fields.grain`,
 //!   `fields.backend`, `fields.items`) — one per run cut into more than
-//!   one chunk (a run of one thread or at most one grain is one chunk on
-//!   the calling thread and opens no span);
+//!   one chunk, at any thread count (a one-thread work-stealing run
+//!   longer than a grain runs its chunks in order on the calling thread;
+//!   a run of at most one grain is one chunk there and opens no span);
 //! * `execute/chunks` (counter) — chunks of that run; `execute/joins`
 //!   (counter) — its joins (divide-and-conquer runs only);
 //! * `execute/worker_steals` / `execute/worker_chunks` (counters,
@@ -121,11 +122,14 @@
 //!   `map_only`, and the last four count the superinstruction forms the
 //!   lowering used (operators on register/constant operands, loads with
 //!   register/constant indices, row loops, and slice folds);
-//! * `execute/compile_fallback` (point, `fields.reason`) — the plan
-//!   (or, in streaming, a chunk's main input) is outside compiler
-//!   coverage, so it runs on the tree-walking interpreter instead.
-//!   Batch runs emit it at most once per run; streaming runs emit it
-//!   once when the plan does not compile, else per non-flattenable
+//! * `execute/compile_fallback` (point, `fields.reason`, and
+//!   `fields.chunks` for chunk fallbacks) — something runs on the
+//!   tree-walking interpreter instead of compiled kernels: the whole
+//!   plan, when the compiler does not cover it (once per run or
+//!   stream); a map-only run or stream chunk whose rows do not flatten;
+//!   or executor chunks of a divide-and-conquer plan whose rows do not
+//!   flatten, counted in `chunks` (chunk attempts, retries included) and
+//!   reported from the calling thread after each batch run or stream
 //!   chunk. The interpreted references (`run_plan_interpreted`,
 //!   `run_stream_interpreted`) skip the compiler and never emit it;
 //! * `execute/run_plan` (span, `fields.engine`, `fields.rows`) — one

@@ -24,6 +24,9 @@ cargo test --workspace -q
 
 echo "== cargo test (fault injection) =="
 cargo test --features fault-inject -q
+# The runtime's own fault-plan unit tests (crates/runtime/src/faults.rs)
+# compile only under its feature.
+cargo test -p parsynt-runtime --features fault-inject -q
 
 # Streaming soundness: the any-chunking property suite plus the
 # fault-injected variant (seeded sweeps, snapshot prefix-equality).

@@ -5,14 +5,16 @@
 //! fault sweeps with results byte-identical to the sequential run.
 
 use parsynt::core::{
-    run_plan_checked, run_plan_interpreted, Backend, Outcome, Parallelization, Pipeline,
-    PipelineConfig, RunConfig,
+    chunk_value_inputs, compile_plan, run_plan_checked, run_plan_interpreted,
+    run_stream_interpreted, Backend, Outcome, Parallelization, Pipeline, PipelineConfig,
+    PipelineReport, RunConfig, SolutionCache,
 };
 use parsynt::lang::{parse, Value};
 use parsynt::suite::benchmark;
+use parsynt::synth::examples::InputProfile;
 use parsynt::trace::sinks::PhaseAggregator;
-use parsynt::trace::{set_ambient, Tracer};
-use std::sync::OnceLock;
+use parsynt::trace::{set_ambient, CollectingSink, Tracer};
+use std::sync::{Arc, OnceLock};
 
 /// The synthesized `max_bottom_strip` plan (divide-and-conquer, 2-D).
 fn mbs_plan() -> &'static Parallelization {
@@ -65,6 +67,117 @@ fn run_config_reaches_plans() {
         // 5 leaves a row: 20 and 50 rows per work-stealing chunk, one
         // chunk per thread under static scheduling.
         assert_eq!(chunks, vec![20, 8, 4], "{engine}");
+    }
+}
+
+/// A report for `source` under `run`, synthesized once per program and
+/// then re-served from a shared cache (the cache key ignores `run`).
+fn report(source: &str, profile: &InputProfile, run: RunConfig) -> PipelineReport {
+    static CACHE: OnceLock<Arc<SolutionCache>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Arc::new(SolutionCache::in_memory(8)));
+    let program = parse(source).expect("source parses");
+    let config = PipelineConfig::default()
+        .with_profile(profile.clone())
+        .with_run(run);
+    Pipeline::new(&program)
+        .configure(config)
+        .cache(Arc::clone(cache))
+        .run()
+        .expect("synthesizes")
+}
+
+/// Counts the leaves of a 2-D input from its row lengths: compiled, and
+/// reading no scalar, so the interpreter accepts rows that hold a
+/// boolean.
+const ROW_LENGTHS: &str = "input a : seq<seq<int>>; state c : int = 0;\n\
+                           for i in 0 .. len(a) { c = c + len(a[i]); }";
+
+/// The `compile_fallback` events `events` hold.
+fn fallbacks(events: &CollectingSink) -> usize {
+    events
+        .events()
+        .iter()
+        .filter(|e| e.name == "compile_fallback")
+        .count()
+}
+
+/// A chunk whose rows do not flatten — a boolean leaf, or a scalar
+/// where a row belongs — runs on the interpreter and joins with the
+/// compiled chunks around it: batch runs and streams equal the
+/// interpreted reference, value or error string, snapshot by snapshot,
+/// at every thread count, both backends and small grains, and the
+/// fallback is traced.
+#[test]
+fn unflattenable_chunks_run_on_the_interpreter() {
+    let mbs = benchmark("max_bottom_strip").expect("known benchmark");
+    let rows: Vec<Vec<i64>> = (0..60)
+        .map(|i| (0..1 + i % 4).map(|j| (i * 7 + j * 3) % 11 - 5).collect())
+        .collect();
+    let good = Value::seq2_of_ints(&rows);
+    let mut with_bool = good.clone();
+    let mut with_scalar = good.clone();
+    if let (Value::Seq(b), Value::Seq(s)) = (&mut with_bool, &mut with_scalar) {
+        b[37] = Value::Seq(vec![Value::Int(1), Value::Bool(true)]);
+        s[37] = Value::Int(5);
+    }
+    for (source, profile) in [(mbs.source, &mbs.profile), (ROW_LENGTHS, &mbs.profile)] {
+        // The row-length plan runs to a value over the boolean leaf.
+        let lengths = source == ROW_LENGTHS;
+        for (input, bad, ok) in [
+            (&good, false, true),
+            (&with_bool, true, lengths),
+            (&with_scalar, true, false),
+        ] {
+            let inputs = [input.clone()];
+            for threads in [1, 2, 3, 8] {
+                for backend in [Backend::WorkStealing, Backend::Static] {
+                    for grain in [5, 40] {
+                        let run = RunConfig::work_stealing(threads)
+                            .with_backend(backend)
+                            .with_grain(grain);
+                        let at = format!("{source} bad {bad} {threads}t {backend:?} grain {grain}");
+                        let mut report = report(source, profile, run);
+                        let plan = &report.parallelization.clone();
+                        let events = CollectingSink::new();
+                        let checked = {
+                            let _guard = set_ambient(Tracer::from_sink(events.clone()));
+                            run_plan_checked(plan, &inputs, &run)
+                        };
+                        let reference = run_plan_interpreted(plan, &inputs, &run);
+                        assert!(compile_plan(plan).is_ok(), "{at}");
+                        assert_eq!(checked.is_ok(), ok, "{at}");
+                        assert_eq!(
+                            checked.map(|o| o.state).map_err(|e| e.to_string()),
+                            reference.map(|o| o.state).map_err(|e| e.to_string()),
+                            "{at}"
+                        );
+                        assert_eq!(fallbacks(&events) > 0, bad, "{at}");
+
+                        for chunk_rows in [7, 60] {
+                            let chunks =
+                                chunk_value_inputs(plan, &inputs, chunk_rows).expect("chunkable");
+                            let mut expected = Vec::new();
+                            let end = run_stream_interpreted(plan, chunks, run, 1, |s| {
+                                expected.push(s.state.clone());
+                            });
+                            let expected =
+                                (expected, end.map(|o| o.state).map_err(|e| e.to_string()));
+                            let events = CollectingSink::new();
+                            let mut streamed = Vec::new();
+                            let end = {
+                                let _guard = set_ambient(Tracer::from_sink(events.clone()));
+                                report.execute_stream_with(&inputs, chunk_rows, 1, |s| {
+                                    streamed.push(s.state.clone());
+                                })
+                            };
+                            let streamed = (streamed, end.map_err(|e| e.to_string()));
+                            assert_eq!(streamed, expected, "{at} chunk rows {chunk_rows}");
+                            assert_eq!(fallbacks(&events) > 0, bad, "{at} chunk rows {chunk_rows}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -141,22 +254,30 @@ mod faulty {
         f.apply(inputs).expect("sequential run")
     }
 
-    /// Run `exec_run` under every seed, both backends, transient and
-    /// persistent faults; the value must equal `expected`.
+    /// Run `exec_run` under every seed, both backends at 4 threads and
+    /// work stealing at 1 (grain-sized chunks in order on the calling
+    /// thread), transient and persistent faults; the value must equal
+    /// `expected`.
     fn sweep(
         name: &str,
         expected: &StateVec,
         exec_run: impl Fn(&Executor) -> Result<RunOutcome<PlanAcc>, RuntimeError>,
     ) {
         for seed in 0..16 {
-            for backend in [Backend::Static, Backend::WorkStealing] {
+            for (threads, backend) in [
+                (4, Backend::Static),
+                (4, Backend::WorkStealing),
+                (1, Backend::WorkStealing),
+            ] {
                 for persistent in [false, true] {
-                    let run = RunConfig::work_stealing(4)
+                    let run = RunConfig::work_stealing(threads)
                         .with_grain(40)
                         .with_backend(backend);
                     let exec =
                         Executor::new(run).with_faults(mixed_plan(seed).persistent(persistent));
-                    let at = format!("{name} seed {seed} {backend:?} persistent {persistent}");
+                    let at = format!(
+                        "{name} seed {seed} {threads}t {backend:?} persistent {persistent}"
+                    );
                     let out = exec_run(&exec).unwrap_or_else(|e| panic!("{at}: {e}"));
                     assert_eq!(out.value.as_ref(), Ok(expected), "{at}");
                     assert!(persistent || !out.degraded, "{at}");

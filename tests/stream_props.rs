@@ -115,11 +115,11 @@ mod engine_parity {
     use super::*;
     use parsynt::core::{
         chunk_value_inputs, run_stream_checked, run_stream_interpreted, Parallelization, Pipeline,
-        PipelineConfig, StreamSnapshot,
+        PipelineConfig, PipelineReport, SolutionCache, StreamSnapshot,
     };
     use parsynt::lang::{parse, Value};
     use parsynt::suite::benchmark;
-    use std::sync::OnceLock;
+    use std::sync::{Arc, OnceLock};
 
     fn mbs_plan() -> &'static Parallelization {
         static PLAN: OnceLock<Parallelization> = OnceLock::new();
@@ -132,6 +132,23 @@ mod engine_parity {
                 .expect("max_bottom_strip synthesizes")
                 .parallelization
         })
+    }
+
+    /// The `max_bottom_strip` report executing under `run`, synthesized
+    /// once and then re-served from a cache (its key ignores `run`).
+    fn mbs_report(run: RunConfig) -> PipelineReport {
+        static CACHE: OnceLock<Arc<SolutionCache>> = OnceLock::new();
+        let cache = CACHE.get_or_init(|| Arc::new(SolutionCache::in_memory(1)));
+        let b = benchmark("max_bottom_strip").expect("known benchmark");
+        let program = parse(b.source).expect("source parses");
+        let config = PipelineConfig::default()
+            .with_profile(b.profile.clone())
+            .with_run(run);
+        Pipeline::new(&program)
+            .configure(config)
+            .cache(Arc::clone(cache))
+            .run()
+            .expect("max_bottom_strip synthesizes")
     }
 
     /// Every snapshot state, then the end-of-input state, compiled or
@@ -170,6 +187,39 @@ mod engine_parity {
             let interp = stream_states(plan, &inputs, chunk_rows, true);
             let compiled = stream_states(plan, &inputs, chunk_rows, false);
             prop_assert_eq!(interp, compiled);
+        }
+
+        /// `execute_stream_with` streams ranges of the borrowed input's
+        /// rows; every snapshot and the end-of-input state equal the
+        /// stream of the same chunks copied out by `chunk_value_inputs`,
+        /// at any thread count and grain.
+        #[test]
+        fn borrowed_row_streams_equal_copied_chunk_streams(
+            data in proptest::collection::vec(
+                proptest::collection::vec(-100i64..101, 0..6), 1..40),
+            chunk_rows in 1usize..9,
+            threads in 1usize..4,
+            grain in 1usize..16,
+        ) {
+            let run = RunConfig::work_stealing(threads).with_grain(grain);
+            let mut report = mbs_report(run);
+            let inputs = [Value::seq2_of_ints(&data)];
+            let mut borrowed = Vec::new();
+            let end = report
+                .execute_stream_with(&inputs, chunk_rows, 1, |s| {
+                    borrowed.push((s.elements, s.state.clone()));
+                })
+                .expect("stream runs");
+            borrowed.push((data.len() as u64, end));
+            let plan = &report.parallelization;
+            let chunks = chunk_value_inputs(plan, &inputs, chunk_rows).expect("chunkable");
+            let mut copied = Vec::new();
+            let out = run_stream_checked(plan, chunks, run, 1, |s| {
+                copied.push((s.elements, s.state.clone()));
+            })
+            .expect("stream runs");
+            copied.push((out.elements, out.state));
+            prop_assert_eq!(borrowed, copied);
         }
     }
 }

@@ -33,8 +33,9 @@
 //! A run is configured through one [`PipelineConfig`] surface —
 //! synthesis knobs ([`parsynt_synth::SynthConfig`], including parallel
 //! candidate screening via `with_synth_threads`), execution knobs
-//! ([`RunConfig`] for [`PipelineReport::execute`]) and tracing
-//! ([`parsynt_trace::TraceConfig`]).
+//! ([`RunConfig`] for [`PipelineReport::execute`]) and the input
+//! profile. Trace events go to a sink attached with [`Pipeline::sink`]
+//! (for a JSONL file, `Pipeline::sink(WriterSink::to_file(path)?)`).
 //!
 //! Synthesized plans execute on [`parsynt_runtime::Executor`]
 //! ([`run_plan_checked`], [`PipelineReport::execute`]) as one of four
@@ -74,11 +75,9 @@ pub use exec::{
 };
 pub use fingerprint::{fingerprint, fingerprint_hex};
 pub use parsynt_runtime::{Backend, RunConfig};
-pub use parsynt_trace::TraceConfig;
 pub use parsynt_trace::{CancelToken, Deadline};
 pub use pipeline::{
-    Pipeline, PipelineConfig, PipelineReport, PipelineReportJson, SearchBudget, StreamReportJson,
-    SCHEMA_VERSION,
+    Pipeline, PipelineConfig, PipelineReport, PipelineReportJson, StreamReportJson, SCHEMA_VERSION,
 };
 pub use proof::{check_homomorphism_law_exhaustive, check_join_associativity, proof_obligations};
 pub use schema::{Outcome, Parallelization, Report};

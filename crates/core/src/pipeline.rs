@@ -38,15 +38,15 @@ use crate::proof::homomorphism_law_checks;
 use crate::schema::{run_schema, Outcome, Parallelization, Report};
 use crate::stream::{run_stream_rows, StreamSnapshot};
 use parsynt_lang::ast::Program;
-use parsynt_lang::error::{LangError, Result};
+use parsynt_lang::error::Result;
 use parsynt_lang::interp::StateVec;
 use parsynt_lang::Value;
 use parsynt_runtime::RunConfig;
 use parsynt_synth::examples::InputProfile;
 use parsynt_synth::report::SynthConfig;
 use parsynt_trace as trace;
-use parsynt_trace::sinks::{FanoutSink, PhaseAggregator, WriterSink};
-use parsynt_trace::{TraceConfig, TraceSink};
+use parsynt_trace::sinks::{FanoutSink, PhaseAggregator};
+use parsynt_trace::TraceSink;
 use serde::{Deserialize, Serialize, Serializer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -58,65 +58,21 @@ use std::time::{Duration, Instant};
 /// should reject versions they do not understand.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// A coarse cap on the synthesis search, applied on top of whatever
-/// [`SynthConfig`] the pipeline carries. Named `SearchBudget` to keep it
-/// distinct from the complexity [`crate::Budget`] of §6 (which bounds
-/// the *solution*, not the search).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchBudget {
-    /// Cap on sketch hole-filling attempts per variable.
-    pub max_sketch_tries: usize,
-    /// Examples every candidate must match during search.
-    pub search_examples: usize,
-    /// Extra examples used to boundedly verify a surviving candidate.
-    pub verify_examples: usize,
-}
-
-impl Default for SearchBudget {
-    fn default() -> Self {
-        let cfg = SynthConfig::default();
-        SearchBudget {
-            max_sketch_tries: cfg.max_sketch_tries,
-            search_examples: cfg.search_examples,
-            verify_examples: cfg.verify_examples,
-        }
-    }
-}
-
-impl SearchBudget {
-    /// A small budget for smoke tests and interactive exploration.
-    pub fn quick() -> Self {
-        SearchBudget {
-            max_sketch_tries: 50_000,
-            search_examples: 16,
-            verify_examples: 60,
-        }
-    }
-
-    fn apply(self, mut cfg: SynthConfig) -> SynthConfig {
-        cfg.max_sketch_tries = self.max_sketch_tries;
-        cfg.search_examples = self.search_examples;
-        cfg.verify_examples = self.verify_examples;
-        cfg
-    }
-}
-
 /// The unified configuration surface of a pipeline run: what to
-/// synthesize with ([`SynthConfig`]), how to execute the result
-/// ([`RunConfig`]), what to observe ([`TraceConfig`]), which input
-/// distribution to verify against ([`InputProfile`]), and an optional
-/// [`SearchBudget`] cap.
+/// synthesize with ([`SynthConfig`], including the search caps
+/// `max_sketch_tries`, `search_examples` and `verify_examples`), how to
+/// execute the result ([`RunConfig`]), and which input distribution to
+/// verify against ([`InputProfile`]). What to observe is not
+/// configuration: attach a sink with [`Pipeline::sink`].
 ///
 /// ```
-/// use parsynt_core::{PipelineConfig, SearchBudget};
+/// use parsynt_core::PipelineConfig;
 /// let cfg = PipelineConfig::default()
 ///     .with_synth_threads(4)
 ///     .with_run_threads(8)
-///     .with_budget(SearchBudget::quick())
 ///     .with_seed(7);
 /// assert_eq!(cfg.synth.threads, 4);
 /// assert_eq!(cfg.run.threads, 8);
-/// assert!(cfg.budget.is_some());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PipelineConfig {
@@ -125,14 +81,9 @@ pub struct PipelineConfig {
     /// Execution knobs for [`PipelineReport::execute`] (threads, grain,
     /// backend).
     pub run: RunConfig,
-    /// Tracing options (JSONL event stream).
-    pub trace: TraceConfig,
     /// Shape/value distribution used for example generation and bounded
     /// verification.
     pub profile: InputProfile,
-    /// Optional coarse search cap; overrides the corresponding `synth`
-    /// fields at [`Pipeline::run`] time.
-    pub budget: Option<SearchBudget>,
 }
 
 impl PipelineConfig {
@@ -148,23 +99,10 @@ impl PipelineConfig {
         self
     }
 
-    /// Replace the tracing configuration.
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
-    }
-
     /// Set the input profile (shape/value distribution for bounded
     /// verification).
     pub fn with_profile(mut self, profile: InputProfile) -> Self {
         self.profile = profile;
-        self
-    }
-
-    /// Cap the synthesis search; overrides the corresponding
-    /// [`SynthConfig`] fields at [`Pipeline::run`] time.
-    pub fn with_budget(mut self, budget: SearchBudget) -> Self {
-        self.budget = Some(budget);
         self
     }
 
@@ -235,10 +173,10 @@ impl<'p> Pipeline<'p> {
         }
     }
 
-    /// Set the full [`PipelineConfig`] (synthesis, execution, tracing,
-    /// profile, and budget). This is the single configuration entry
-    /// point; the pre-0.3 per-part setters (`profile`, `config`,
-    /// `budget`) were removed in 0.4.0.
+    /// Set the full [`PipelineConfig`] (synthesis, execution and
+    /// profile). This is the single configuration entry point; the
+    /// pre-0.3 per-part setters (`profile`, `config`, `budget`) were
+    /// removed in 0.4.0.
     pub fn configure(mut self, config: PipelineConfig) -> Self {
         self.config = config;
         self
@@ -278,16 +216,10 @@ impl<'p> Pipeline<'p> {
     /// is an outcome inside the report, not an error.
     pub fn run(self) -> Result<PipelineReport> {
         let PipelineConfig {
-            synth,
+            synth: cfg,
             run,
-            trace: trace_cfg,
             profile,
-            budget,
         } = self.config;
-        let cfg = match budget {
-            Some(budget) => budget.apply(synth),
-            None => synth,
-        };
 
         let key = self.cache.as_ref().map(|cache| {
             let key = fingerprint(self.program);
@@ -316,20 +248,12 @@ impl<'p> Pipeline<'p> {
         }
 
         let aggregator = PhaseAggregator::new();
-        let mut sinks: Vec<Arc<dyn TraceSink>> = vec![Arc::new(aggregator.clone())];
-        if let Some(user) = &self.sink {
-            sinks.push(Arc::clone(user));
-        }
-        if let Some(path) = trace_cfg.jsonl_path() {
-            let file_sink = WriterSink::to_file(path).map_err(|e| {
-                LangError::eval(format!("cannot open trace file {}: {e}", path.display()))
-            })?;
-            sinks.push(Arc::new(file_sink));
-        }
-        let tracer = if sinks.len() == 1 {
-            trace::Tracer::from_sink(aggregator.clone())
-        } else {
-            trace::Tracer::new(Arc::new(FanoutSink::new(sinks)))
+        let tracer = match &self.sink {
+            None => trace::Tracer::from_sink(aggregator.clone()),
+            Some(user) => trace::Tracer::new(Arc::new(FanoutSink::new(vec![
+                Arc::new(aggregator.clone()),
+                Arc::clone(user),
+            ]))),
         };
         let guard = trace::set_ambient(tracer.clone());
         let started = Instant::now();
@@ -390,8 +314,10 @@ pub struct PipelineReport {
     /// hit has exactly one counter, `"cache.hit"`.
     pub counters: BTreeMap<String, u64>,
     /// Whether any [`PipelineReport::execute`] call on this report had
-    /// to abandon its parallel plan and recover through the sequential
-    /// interpreter (after a persistent worker panic).
+    /// to abandon its parallel plan and recover by re-running the same
+    /// task sequentially, compiled kernels included (after a persistent
+    /// worker panic), or any [`PipelineReport::execute_stream`] call had
+    /// a stream chunk do so.
     pub degraded: bool,
     /// Whether this report was re-served from a [`SolutionCache`]
     /// instead of a fresh synthesis run.
@@ -698,21 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_overrides_config() {
-        let p = sum2d();
-        let budget = SearchBudget {
-            max_sketch_tries: 10_000,
-            search_examples: 12,
-            verify_examples: 40,
-        };
-        let report = Pipeline::new(&p)
-            .configure(PipelineConfig::default().with_budget(budget))
-            .run()
-            .unwrap();
-        assert!(report.parallelization.is_divide_and_conquer());
-    }
-
-    #[test]
     fn check_homomorphism_reuses_run_profile() {
         let p = sum2d();
         let report = Pipeline::new(&p).run().unwrap();
@@ -732,8 +643,6 @@ mod tests {
         assert_eq!(cfg.synth.threads, 4);
         assert_eq!(cfg.synth.seed, 99);
         assert_eq!(cfg.run.threads, 6);
-        assert!(cfg.budget.is_none());
-        assert!(!cfg.trace.is_enabled());
     }
 
     #[test]
@@ -772,29 +681,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn trace_config_streams_jsonl_to_disk() {
-        let p = sum2d();
-        let dir = std::env::temp_dir().join("parsynt-pipeline-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.jsonl");
-        let cfg = PipelineConfig::default().with_trace(TraceConfig::default().jsonl(&path));
-        let report = Pipeline::new(&p).configure(cfg).run().unwrap();
-        assert!(report.parallelization.is_divide_and_conquer());
-        let text = std::fs::read_to_string(&path).unwrap();
-        // WriterSink drops lines when serialization fails (some build
-        // environments stub serde_json out), so only require content
-        // where serialization demonstrably works.
-        if serde_json::to_string(&42u64).is_ok() {
-            assert!(!text.is_empty());
-            for line in text.lines() {
-                let event: parsynt_trace::Event = serde_json::from_str(line).unwrap();
-                assert!(!event.phase.is_empty());
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! The parallel executors: work-stealing and static scheduling, behind
+//! The parallel executor: work-stealing and static scheduling, behind
 //! the unified [`Executor`] entry point.
 //!
-//! The scheduler works on index ranges: a run cuts `0..n` into chunks,
-//! attempts each once, and combines the results in input order
+//! The scheduler works on index ranges: a run cuts `0..n` into chunks
+//! (the [`Backend`] decides only how), attempts each once on one pool of
+//! scoped workers that claim chunks from a shared counter, and combines
+//! the results in input order
 //! ([`RangeTask`], [`RangeMapTask`]; slice tasks run through thin
 //! adapters to ranges). Every attempt is
 //! panic-isolated: a panicking chunk is caught
@@ -14,11 +16,9 @@
 
 use crate::error::RuntimeError;
 use crate::task::{DncTask, MapOnlyTask, RangeMapTask, RangeTask, Slice, SliceMap};
-use crossbeam::deque::{Steal, Stealer, Worker};
-use parking_lot::Mutex;
 use parsynt_trace as trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Fault-injection argument threaded through the executors: a real
 /// [`crate::faults::FaultPlan`] under the `fault-inject` feature, an
@@ -84,14 +84,17 @@ pub struct RunOutcome<A> {
     pub recovered_chunks: usize,
 }
 
-/// Scheduling backend.
+/// Scheduling backend: how a divide-and-conquer run is cut into
+/// chunks. Both run their chunks on the same workers, each of which
+/// claims the next unclaimed chunk when it finishes one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// TBB-flavoured: grain-sized tasks on per-worker deques with
-    /// stealing. Better load balance, slightly higher overhead.
+    /// TBB-flavoured: grain-sized chunks, more of them than threads, so
+    /// a worker that finishes early takes more chunks. Better load
+    /// balance, slightly higher overhead.
     WorkStealing,
     /// OpenMP-flavoured static scheduling: one contiguous chunk per
-    /// thread, no stealing.
+    /// thread, so each worker runs exactly one.
     Static,
 }
 
@@ -163,8 +166,7 @@ impl Default for RunConfig {
 /// The unified executor: one configured entry point for every execution
 /// mode — batch divide-and-conquer ([`Executor::run`],
 /// [`Executor::run_range`]), map-only ([`Executor::run_map_only`],
-/// [`Executor::run_map_range`]), partial-list reduction
-/// ([`Executor::reduce_tree`]), and streaming online aggregation
+/// [`Executor::run_map_range`]), and streaming online aggregation
 /// ([`Executor::stream`], [`Executor::stream_ranges`],
 /// [`Executor::run_stream`]).
 ///
@@ -284,7 +286,7 @@ impl Executor {
             results,
             recovered,
             failed,
-        } = self.attempt(&ranges, self.config.backend, &|lo, hi| task.work(lo, hi));
+        } = self.attempt(&ranges, &|lo, hi| task.work(lo, hi));
         if failed.is_empty() {
             // The join can panic too (it is synthesized code): guard the
             // ordered reduction and fall back like a failed chunk.
@@ -352,7 +354,7 @@ impl Executor {
             results,
             recovered,
             failed,
-        } = self.attempt(&ranges, Backend::Static, &|lo, hi| task.map(lo, hi));
+        } = self.attempt(&ranges, &|lo, hi| task.map(lo, hi));
         if failed.is_empty() {
             // The fold phase can panic too; guard it and degrade like a
             // failed chunk.
@@ -407,13 +409,12 @@ impl Executor {
     /// Attempt every range once, then retry each failed range once on
     /// the calling thread. The first attempts run in order on the
     /// calling thread when there is one range or one thread, otherwise
-    /// on scoped workers under `backend`. Several ranges open a
+    /// on scoped workers ([`worker_attempts`]). Several ranges open a
     /// `run_parallel` span and count their chunks, whichever thread
     /// runs them.
     fn attempt<R: Send>(
         &self,
         ranges: &[(usize, usize)],
-        backend: Backend,
         work: &(dyn Fn(usize, usize) -> R + Sync),
     ) -> Attempts<R> {
         let faults = self.fault_arg();
@@ -434,7 +435,7 @@ impl Executor {
                 span.record("grain", self.config.grain);
                 span.record(
                     "backend",
-                    match backend {
+                    match self.config.backend {
                         Backend::WorkStealing => "work_stealing",
                         Backend::Static => "static",
                     },
@@ -442,10 +443,10 @@ impl Executor {
                 span.record("items", ranges.last().map_or(0, |r| r.1));
                 trace::counter("execute", "chunks", ranges.len() as u64);
             }
-            match backend {
-                _ if threads == 1 => in_order(),
-                Backend::Static => static_attempts(ranges, work, faults),
-                Backend::WorkStealing => stealing_attempts(ranges, threads, work, faults),
+            if threads == 1 {
+                in_order()
+            } else {
+                worker_attempts(ranges, threads, work, faults)
             }
         };
         let mut out = Attempts {
@@ -475,57 +476,6 @@ impl Executor {
             }
         }
         out
-    }
-
-    /// Join a list of chunk partials as a balanced binary tree, each
-    /// round's joins in parallel: `⌈log₂ c⌉` rounds instead of `c − 1`
-    /// sequential joins — relevant when the join itself is expensive
-    /// (the looped joins of the mtls family, `O(m)` each). Requires only
-    /// associativity: adjacent partials are joined in input order.
-    ///
-    /// Each round's joins are attempted like chunks of a run: a
-    /// panicking join is retried once on the calling thread (operands
-    /// are cloned so the retry has them).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::WorkerPanicked`] when a join fails twice — with
-    /// only partials in hand there is no raw input to re-run.
-    pub fn reduce_tree<T: DncTask>(
-        &self,
-        task: &T,
-        mut partials: Vec<T::Acc>,
-    ) -> Result<RunOutcome<T::Acc>, RuntimeError>
-    where
-        T::Acc: Clone,
-    {
-        let mut recovered_chunks = 0;
-        while partials.len() > 1 {
-            // Pair `k` joins partials `2k` and `2k + 1`; an odd last
-            // partial moves up a round unjoined.
-            let pairs: Vec<(usize, usize)> = (0..partials.len() / 2)
-                .map(|k| (2 * k, 2 * k + 1))
-                .collect();
-            let leftover = (partials.len() % 2 == 1).then(|| partials.pop()).flatten();
-            let round: Vec<Mutex<T::Acc>> = partials.into_iter().map(Mutex::new).collect();
-            let Attempts {
-                results,
-                recovered,
-                failed,
-            } = self.attempt(&pairs, Backend::Static, &|l, r| {
-                task.join(round[l].lock().clone(), round[r].lock().clone())
-            });
-            if let Some((chunk, payload)) = failed.into_iter().next() {
-                return Err(RuntimeError::WorkerPanicked { chunk, payload });
-            }
-            recovered_chunks += recovered;
-            partials = results.into_iter().flatten().chain(leftover).collect();
-        }
-        Ok(RunOutcome {
-            value: partials.pop().unwrap_or_else(|| task.identity()),
-            degraded: false,
-            recovered_chunks,
-        })
     }
 
     /// Open a streaming session over a slice task: push chunks with
@@ -657,123 +607,67 @@ fn fallback_sequential<A>(
     }
 }
 
-/// Static scheduling: one scoped thread per chunk, results collected in
-/// order.
-fn static_attempts<R: Send>(
-    ranges: &[(usize, usize)],
-    work: &(dyn Fn(usize, usize) -> R + Sync),
-    faults: FaultArg<'_>,
-) -> Vec<Result<R, String>> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(chunk, &(lo, hi))| scope.spawn(move || guarded(work, lo, hi, chunk, 0, faults)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(partial) => partial,
-                // `guarded` already catches task panics; reaching here
-                // means the runtime itself failed.
-                Err(payload) => Err(payload_string(payload.as_ref())),
-            })
-            .collect()
-    })
-}
-
-/// Work-stealing execution: chunk indices are dealt round-robin onto
-/// per-worker deques; idle workers steal. Each chunk's result lands in
-/// an index-ordered slot so the final reduction preserves input order.
-/// A panicking chunk is recorded as failed, not propagated: the scope
-/// always joins cleanly.
-fn stealing_attempts<R: Send>(
+/// The first attempt of every chunk on `min(threads, chunks)` scoped
+/// workers. Worker `w` runs chunk `w`, then claims the next unclaimed
+/// chunk from one shared counter until none is left, and returns its
+/// `(chunk, result)` pairs; the caller puts them in input order. With no
+/// more chunks than workers (the static cut) each worker runs exactly
+/// its own chunk; with more (the grain-sized cut) a fast worker takes
+/// more chunks, which balances the load. A panicking chunk is recorded
+/// as failed, not propagated: the scope always joins cleanly.
+fn worker_attempts<R: Send>(
     ranges: &[(usize, usize)],
     threads: usize,
     work: &(dyn Fn(usize, usize) -> R + Sync),
     faults: FaultArg<'_>,
 ) -> Vec<Result<R, String>> {
-    let num_chunks = ranges.len();
-    // Per-worker deques seeded round-robin, like a TBB arena.
-    let workers: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
-    for chunk in 0..num_chunks {
-        workers[chunk % threads].push(chunk);
-    }
-
-    // One slot per chunk; `None` means the chunk never completed.
-    type Slot<R> = Mutex<Option<Result<R, String>>>;
-    let remaining = AtomicUsize::new(num_chunks);
-    let slots: Vec<Slot<R>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
-    // Per-worker tallies; workers run on foreign threads (no ambient
-    // tracer there), so events are emitted from the calling thread once
-    // the scope closes.
-    let steal_counts: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-    let chunk_counts: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-
-    std::thread::scope(|scope| {
-        for (wid, worker) in workers.into_iter().enumerate() {
-            let stealers = &stealers;
-            let remaining = &remaining;
-            let slots = &slots;
-            let steal_counts = &steal_counts;
-            let chunk_counts = &chunk_counts;
-            scope.spawn(move || loop {
-                // Drain the local deque first, then steal.
-                let chunk = worker.pop().or_else(|| {
-                    stealers.iter().find_map(|s| loop {
-                        match s.steal() {
-                            Steal::Success(c) => {
-                                steal_counts[wid].fetch_add(1, Ordering::Relaxed);
-                                return Some(c);
-                            }
-                            Steal::Empty => return None,
-                            Steal::Retry => continue,
-                        }
-                    })
-                });
-                let Some(chunk) = chunk else {
-                    if remaining.load(Ordering::Acquire) == 0 {
-                        return;
+    let workers = threads.min(ranges.len());
+    let next = AtomicUsize::new(workers);
+    let done: Vec<Vec<(usize, Result<R, String>)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let next = &next;
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    let mut chunk = w;
+                    while let Some(&(lo, hi)) = ranges.get(chunk) {
+                        done.push((chunk, guarded(work, lo, hi, chunk, 0, faults)));
+                        chunk = next.fetch_add(1, Ordering::Relaxed);
                     }
-                    // Yield rather than spin: on oversubscribed (or
-                    // single-core) hosts a spinning idler starves the
-                    // workers that still hold chunks.
-                    std::thread::yield_now();
-                    continue;
-                };
-                chunk_counts[wid].fetch_add(1, Ordering::Relaxed);
-                let (lo, hi) = ranges[chunk];
-                let partial = guarded(work, lo, hi, chunk, 0, faults);
-                *slots[chunk].lock() = Some(partial);
-                remaining.fetch_sub(1, Ordering::AcqRel);
-            });
-        }
+                    done
+                })
+            })
+            .collect();
+        // `guarded` already catches task panics; a worker that dies
+        // anyway leaves its chunks unfilled, and they are retried.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_default())
+            .collect()
     });
 
+    // Workers run on foreign threads (no ambient tracer there), so the
+    // per-worker tallies are emitted from the calling thread.
     if trace::enabled() {
-        for (wid, (steals, worked)) in steal_counts.iter().zip(&chunk_counts).enumerate() {
-            trace::counter_with(
-                "execute",
-                "worker_steals",
-                steals.load(Ordering::Relaxed),
-                &[("worker", wid.into())],
-            );
+        for (w, chunks) in done.iter().enumerate() {
             trace::counter_with(
                 "execute",
                 "worker_chunks",
-                worked.load(Ordering::Relaxed),
-                &[("worker", wid.into())],
+                chunks.len() as u64,
+                &[("worker", w.into())],
             );
         }
     }
 
-    slots
+    let mut results: Vec<Option<Result<R, String>>> = (0..ranges.len()).map(|_| None).collect();
+    for (chunk, result) in done.into_iter().flatten() {
+        results[chunk] = Some(result);
+    }
+    results
         .into_iter()
         .enumerate()
-        .map(|(chunk, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(|| Err(format!("chunk {chunk} never completed")))
+        .map(|(chunk, result)| {
+            result.unwrap_or_else(|| Err(format!("chunk {chunk} never completed")))
         })
         .collect()
 }
@@ -1032,35 +926,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_reduction_matches_sequential_fold() {
-        let d = data(4_000);
-        // Non-commutative task: order must be preserved through the tree.
-        let partials: Vec<Vec<i64>> = d.chunks(173).map(|c| FirstLast.work(c)).collect();
-        let tree = Executor::default()
-            .reduce_tree(&FirstLast, partials)
-            .unwrap()
-            .value;
-        assert_eq!(tree, d);
-        // And for odd chunk counts.
-        let partials: Vec<Vec<i64>> = d.chunks(313).map(|c| FirstLast.work(c)).collect();
-        assert_eq!(partials.len() % 2, 1);
-        assert_eq!(
-            Executor::default()
-                .reduce_tree(&FirstLast, partials)
-                .unwrap()
-                .value,
-            d
-        );
-    }
-
-    #[test]
-    fn tree_reduction_of_empty_and_singleton() {
-        let exec = Executor::default();
-        assert_eq!(exec.reduce_tree(&Sum, vec![]).unwrap().value, 0);
-        assert_eq!(exec.reduce_tree(&Sum, vec![41]).unwrap().value, 41);
-    }
-
-    #[test]
     fn default_config_is_work_stealing_on_all_cores() {
         let cfg = RunConfig::default();
         assert!(cfg.threads >= 1);
@@ -1073,6 +938,117 @@ mod tests {
         assert_eq!(cfg.backend, Backend::Static);
         assert_eq!(cfg.threads, 3);
         assert_eq!(cfg.grain, 10);
+    }
+
+    /// A range task that records the chunk start and thread of every
+    /// `work` call. The chunk starting at 0 holds its worker until
+    /// `hold` other calls have run.
+    struct ChunkProbe {
+        len: usize,
+        hold: usize,
+        calls: std::sync::Mutex<Vec<(usize, std::thread::ThreadId)>>,
+        ran: std::sync::Condvar,
+    }
+    impl ChunkProbe {
+        fn new(len: usize, hold: usize) -> Self {
+            ChunkProbe {
+                len,
+                hold,
+                calls: std::sync::Mutex::default(),
+                ran: std::sync::Condvar::new(),
+            }
+        }
+        /// The thread of every call, in chunk order.
+        fn threads_by_chunk(&self) -> Vec<std::thread::ThreadId> {
+            let mut calls = self.calls.lock().unwrap().clone();
+            calls.sort_by_key(|&(lo, _)| lo);
+            calls.into_iter().map(|(_, t)| t).collect()
+        }
+    }
+    impl RangeTask for ChunkProbe {
+        type Acc = Vec<usize>;
+        fn len(&self) -> usize {
+            self.len
+        }
+        fn work(&self, lo: usize, hi: usize) -> Vec<usize> {
+            let mut calls = self.calls.lock().unwrap();
+            if lo == 0 {
+                // Bounded, so a scheduler that leaves the other chunks
+                // to this worker fails the test instead of hanging it.
+                let timeout = std::time::Duration::from_secs(10);
+                calls = self
+                    .ran
+                    .wait_timeout_while(calls, timeout, |c| c.len() < self.hold)
+                    .unwrap()
+                    .0;
+            }
+            calls.push((lo, std::thread::current().id()));
+            self.ran.notify_all();
+            (lo..hi).collect()
+        }
+        fn join(&self, mut l: Vec<usize>, r: Vec<usize>) -> Vec<usize> {
+            l.extend(r);
+            l
+        }
+    }
+
+    /// The worker loop attempts every chunk exactly once on at most
+    /// `min(threads, chunks)` workers and returns the results in input
+    /// order; under work stealing a worker held up by a slow chunk
+    /// leaves every other chunk to the others, under static scheduling
+    /// each worker runs its one chunk. A chunk is held up by making it
+    /// wait for the others, not by a sleep, so no timing decides it.
+    #[test]
+    fn workers_claim_every_chunk_once_and_balance_the_load() {
+        use parsynt_trace::sinks::PhaseAggregator;
+        use std::collections::HashSet;
+        for backend in [Backend::Static, Backend::WorkStealing] {
+            for (threads, chunks) in [(2, 3), (4, 2), (3, 100), (16, 16)] {
+                let n = chunks * 4;
+                let exec = Executor::new(
+                    RunConfig::work_stealing(threads)
+                        .with_grain(4)
+                        .with_backend(backend),
+                );
+                let ranges = exec.dnc_ranges(n, n);
+                let probe = ChunkProbe::new(n, 0);
+                let agg = PhaseAggregator::new();
+                let out = {
+                    let _guard = trace::set_ambient(trace::Tracer::from_sink(agg.clone()));
+                    exec.run_range(&probe).unwrap()
+                };
+                let case = format!("{backend:?}, {threads} threads, {chunks} chunks");
+                assert_eq!(out.value, (0..n).collect::<Vec<_>>(), "{case}");
+                let mut starts: Vec<usize> =
+                    probe.calls.lock().unwrap().iter().map(|c| c.0).collect();
+                starts.sort_unstable();
+                let expected: Vec<usize> = ranges.iter().map(|r| r.0).collect();
+                assert_eq!(starts, expected, "{case}");
+                let workers: HashSet<_> = probe.threads_by_chunk().into_iter().collect();
+                assert!(workers.len() <= threads.min(ranges.len()), "{case}");
+                assert_eq!(
+                    agg.counters()["execute.worker_chunks"],
+                    ranges.len() as u64,
+                    "{case}"
+                );
+            }
+        }
+        // Work stealing, 10 chunks: chunk 0 holds its worker until the
+        // nine others have run, so the other worker runs all of them.
+        let probe = ChunkProbe::new(40, 9);
+        let exec = Executor::new(RunConfig::work_stealing(2).with_grain(4));
+        assert_eq!(exec.run_range(&probe).unwrap().value.len(), 40);
+        let threads = probe.threads_by_chunk();
+        assert_eq!(threads.len(), 10);
+        assert!(threads[1..].iter().all(|&t| t == threads[1]));
+        assert_ne!(threads[0], threads[1]);
+        // Static, 2 chunks: no worker runs two chunks.
+        let probe = ChunkProbe::new(40, 1);
+        let exec = Executor::new(RunConfig::static_schedule(2).with_grain(4));
+        assert_eq!(exec.run_range(&probe).unwrap().value.len(), 40);
+        let threads = probe.threads_by_chunk();
+        assert_eq!(threads.len(), 2);
+        assert_ne!(threads[0], threads[1]);
     }
 
     #[test]
@@ -1089,7 +1065,7 @@ mod tests {
         assert_eq!(counters["execute.joins"], chunks - 1);
         // Every processed chunk is tallied against some worker.
         assert_eq!(counters["execute.worker_chunks"], chunks);
-        assert!(counters.contains_key("execute.worker_steals"));
+        assert!(counters.contains_key("execute.worker_chunks"));
         assert!(agg.phase_timings().contains_key("execute"));
     }
 
@@ -1280,41 +1256,6 @@ mod tests {
             .unwrap();
         assert_eq!(out.value, seq(&Sum, &d));
         assert!(out.degraded);
-    }
-
-    #[test]
-    fn tree_reduction_retries_panicking_joins() {
-        use std::sync::atomic::AtomicUsize;
-        /// Concatenating join that panics on its first invocation only.
-        struct FlakyJoin {
-            calls: AtomicUsize,
-        }
-        impl DncTask for FlakyJoin {
-            type Item = i64;
-            type Acc = Vec<i64>;
-            fn identity(&self) -> Vec<i64> {
-                Vec::new()
-            }
-            fn work(&self, chunk: &[i64]) -> Vec<i64> {
-                chunk.to_vec()
-            }
-            fn join(&self, mut l: Vec<i64>, r: Vec<i64>) -> Vec<i64> {
-                if self.calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("flaky join");
-                }
-                l.extend(r);
-                l
-            }
-        }
-        let d = data(1_000);
-        let task = FlakyJoin {
-            calls: AtomicUsize::new(0),
-        };
-        let partials: Vec<Vec<i64>> = d.chunks(173).map(|c| c.to_vec()).collect();
-        let out = Executor::default().reduce_tree(&task, partials).unwrap();
-        assert_eq!(out.value, d);
-        assert_eq!(out.recovered_chunks, 1);
-        assert!(!out.degraded);
     }
 
     #[test]

@@ -7,14 +7,20 @@
 //! *join* (the synthesized `⊙`), and the runtime schedules chunks over
 //! OS threads.
 //!
-//! Two scheduling backends reproduce the paper's §9 comparison:
+//! Two scheduling backends reproduce the paper's §9 comparison. They
+//! run the same worker loop — `min(threads, chunks)` scoped workers,
+//! worker `w` running chunk `w` and then claiming the next unclaimed
+//! chunk from one shared counter — and differ only in how the input is
+//! cut:
 //!
-//! * [`Backend::WorkStealing`] — TBB-flavoured: the input is divided
-//!   into grain-sized tasks, distributed over per-worker deques, and
-//!   idle workers steal; partial results join in chunk order (joins need
-//!   not be commutative).
+//! * [`Backend::WorkStealing`] — TBB-flavoured: grain-sized chunks,
+//!   more of them than workers, so a worker that finishes early takes
+//!   more chunks;
 //! * [`Backend::Static`] — OpenMP-flavoured static scheduling: exactly
-//!   one contiguous chunk per thread.
+//!   one contiguous chunk per thread, so each worker runs one.
+//!
+//! Either way partial results join in chunk order (joins need not be
+//! commutative). The runtime depends on `std` alone.
 //!
 //! Every execution mode is a method on one entry point, [`Executor`]:
 //!

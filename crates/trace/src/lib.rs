@@ -45,13 +45,14 @@
 //! * `synthesize` — CEGIS join/merge search (rounds, candidates,
 //!   sketch holes, promoted verify failures),
 //! * `verify` — example-based verification passes,
-//! * `execute` — runtime execution (per-worker steals, chunks, joins).
+//! * `execute` — runtime execution (chunks, per-worker chunk tallies,
+//!   joins).
 //!
 //! Well-known event names include `normalize/rule_fired` (counter,
 //! `fields.rule`), `synthesize/cegis_round` (point, `fields.round`),
 //! `synthesize/enum_candidates` / `synthesize/enum_pruned` (counters),
-//! `lift/aux_discovered` (point), `execute/worker` (point,
-//! `fields.steals`/`fields.chunks`) and `execute/steals` (counter).
+//! `lift/aux_discovered` (point) and `execute/worker_chunks` (counter,
+//! `fields.worker`).
 //!
 //! Parallel candidate screening (`SynthConfig::with_threads > 1`) adds:
 //!
@@ -96,8 +97,11 @@
 //!   a run of at most one grain is one chunk there and opens no span);
 //! * `execute/chunks` (counter) — chunks of that run; `execute/joins`
 //!   (counter) — its joins (divide-and-conquer runs only);
-//! * `execute/worker_steals` / `execute/worker_chunks` (counters,
-//!   `fields.worker`) — per-worker tallies of the work-stealing backend.
+//! * `execute/worker_chunks` (counter, `fields.worker`) — the chunks
+//!   one worker ran, one event per worker of a run spread over several
+//!   threads, under either backend (a worker that finishes early claims
+//!   the next chunk, so under work stealing the tallies show the load
+//!   balance; under static scheduling each is 1).
 //!
 //! Streaming execution (`Executor::stream` / `Executor::stream_ranges` /
 //! `run_stream_checked`):
@@ -170,37 +174,6 @@ pub mod sinks;
 
 pub use deadline::{CancelToken, Deadline};
 pub use sinks::{CollectingSink, FanoutSink, NullSink, PhaseAggregator, TaggedSink, WriterSink};
-
-/// Declarative tracing options for a pipeline run.
-///
-/// Consumed by `parsynt_core::PipelineConfig`: when [`jsonl_path`]
-/// (TraceConfig::jsonl_path) is set, the pipeline opens a [`WriterSink`]
-/// on that file and fans events out to it alongside any
-/// programmatically installed sink. The default config traces nothing
-/// extra (the in-memory [`PhaseAggregator`] always runs).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceConfig {
-    jsonl_path: Option<std::path::PathBuf>,
-}
-
-impl TraceConfig {
-    /// Write every event as one JSON object per line to `path`.
-    pub fn jsonl(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.jsonl_path = Some(path.into());
-        self
-    }
-
-    /// The JSONL output path, if one was configured.
-    pub fn jsonl_path(&self) -> Option<&std::path::Path> {
-        self.jsonl_path.as_deref()
-    }
-
-    /// Whether this config asks for any output beyond the built-in
-    /// phase aggregation.
-    pub fn is_enabled(&self) -> bool {
-        self.jsonl_path.is_some()
-    }
-}
 
 /// A typed scalar payload value attached to an [`Event`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -649,19 +622,6 @@ mod tests {
         let counters = agg.counters();
         assert_eq!(counters["normalize.rule_fired"], 10);
         assert_eq!(counters["synthesize.cegis_round"], 2);
-    }
-
-    #[test]
-    fn trace_config_builder() {
-        let off = TraceConfig::default();
-        assert!(!off.is_enabled());
-        assert_eq!(off.jsonl_path(), None);
-        let on = TraceConfig::default().jsonl("/tmp/trace.jsonl");
-        assert!(on.is_enabled());
-        assert_eq!(
-            on.jsonl_path(),
-            Some(std::path::Path::new("/tmp/trace.jsonl"))
-        );
     }
 
     #[test]

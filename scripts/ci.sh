@@ -15,34 +15,23 @@ cargo clippy --workspace --all-targets --keep-going -- -D warnings
 echo "== cargo build --release =="
 cargo build --release --workspace
 
-# The workspace test run includes the parsynt-serve suites: the HTTP
-# parser unit tests, the handler/status-mapping unit tests, and the
-# live-daemon e2e tests (ephemeral port; cache miss/hit, 504/422/400,
-# restart persistence).
+# The workspace test run covers every crate's unit and integration
+# tests, the root package's included: the parsynt-serve suites (HTTP
+# parser, handler/status mapping, live-daemon e2e on an ephemeral
+# port), the streaming soundness suite (tests/stream_props.rs) and the
+# engine differential suite (tests/native_vs_interpreter.rs: compiled
+# fused kernels vs the interpreter reference vs the native oracles).
 echo "== cargo test =="
 cargo test --workspace -q
 
+# The root package's tests again with seeded fault injection (fault
+# sweeps in fault_injection, stream_props, native_vs_interpreter and
+# plan_executor).
 echo "== cargo test (fault injection) =="
 cargo test --features fault-inject -q
 # The runtime's own fault-plan unit tests (crates/runtime/src/faults.rs)
 # compile only under its feature.
 cargo test -p parsynt-runtime --features fault-inject -q
-
-# Streaming soundness: the any-chunking property suite plus the
-# fault-injected variant (seeded sweeps, snapshot prefix-equality).
-echo "== cargo test streaming (incl. fault injection) =="
-cargo test --test stream_props -q
-cargo test --test stream_props --features fault-inject -q
-cargo test -p parsynt-runtime stream -q
-cargo test -p parsynt-core stream -q
-
-# Engine differential suite: compiled fused kernels vs the tree-walking
-# interpreter reference vs the native oracles, batch and streaming, plus
-# the compiled-kernel fault sweep.
-echo "== cargo test engine differential (incl. fault injection) =="
-cargo test --test native_vs_interpreter -q
-cargo test --test native_vs_interpreter --features fault-inject -q
-cargo test -p parsynt-core compile -q
 
 # End-to-end benchmark smoke test: every workload at a tiny size, each
 # call's result checked against the interpreter or the 1-thread run,

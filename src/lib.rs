@@ -61,8 +61,8 @@
 //! synthesize with ([`SynthConfig`], including `with_synth_threads`
 //! for deterministic parallel candidate screening), how
 //! [`core::PipelineReport::execute`] runs the result ([`RunConfig`]),
-//! what to trace ([`TraceConfig`]), the input profile for bounded
-//! verification, and an optional search budget.
+//! and the input profile for bounded verification. Trace events go to
+//! a sink attached with [`Pipeline::sink`], as above.
 
 pub use parsynt_core as core;
 pub use parsynt_lang as lang;
@@ -74,5 +74,5 @@ pub use parsynt_suite as suite;
 pub use parsynt_synth as synth;
 pub use parsynt_trace as trace;
 
-pub use parsynt_core::{Pipeline, PipelineConfig, PipelineReport, RunConfig, TraceConfig};
+pub use parsynt_core::{Pipeline, PipelineConfig, PipelineReport, RunConfig};
 pub use parsynt_synth::SynthConfig;

@@ -30,8 +30,8 @@
 //! synthesis engine; deterministic, 1 = fully sequential).
 
 use parsynt::core::{
-    proof_obligations, run_plan_checked, Outcome, Parallelization, Pipeline, PipelineConfig,
-    PipelineReport, SolutionCache,
+    proof_obligations, Outcome, Parallelization, Pipeline, PipelineConfig, PipelineReport,
+    SolutionCache,
 };
 use parsynt::lang::interp::run_program;
 use parsynt::lang::pretty::program_to_string;
@@ -188,8 +188,9 @@ Exit codes:
   0 success                2 usage      3 io      4 parse
   5 synthesis failed       6 execution/check failed
   7 synthesis deadline exceeded (--timeout-ms)
-  8 execution degraded: a worker panicked and the run fell back to the
-    sequential interpreter (results were still produced and verified)";
+  8 execution degraded: a worker panicked and the run fell back to
+    re-running the plan sequentially (results were still produced and
+    verified)";
 
 /// Flags that consume a value.
 const VALUE_FLAGS: &[&str] = &[
@@ -493,9 +494,10 @@ fn cmd_run(cli: &Cli) -> Result<(), CliError> {
     if let Outcome::Unparallelizable { reason } = &plan.outcome {
         return Err(CliError::Exec(format!("nothing to run: {reason}")));
     }
-    let exec =
-        run_plan_checked(plan, &inputs, &run_config).map_err(|e| CliError::Exec(e.to_string()))?;
-    if exec.state != sequential {
+    let state = report
+        .execute(&inputs)
+        .map_err(|e| CliError::Exec(e.to_string()))?;
+    if state != sequential {
         return Err(CliError::Exec(
             "parallel result differs from sequential!".to_owned(),
         ));
@@ -504,13 +506,14 @@ fn cmd_run(cli: &Cli) -> Result<(), CliError> {
         println!("{}", report.to_json_pretty());
     } else {
         println!("\nexecuted on {threads} threads over a random {rows}-row input: results agree ✓");
+        let program = &report.parallelization.program;
         for (sym, value) in sequential.entries() {
-            if plan.program.returns.contains(sym) {
-                println!("  {} = {}", plan.program.name(*sym), value);
+            if program.returns.contains(sym) {
+                println!("  {} = {}", program.name(*sym), value);
             }
         }
     }
-    if exec.degraded {
+    if report.degraded {
         return Err(CliError::Degraded(
             "a worker panicked; results recovered via the sequential fallback".to_owned(),
         ));

@@ -255,7 +255,7 @@ fn bench_json_trace_reports_phases_and_events() {
         "normalize.rule_fired",
         "synthesize.cegis_round",
         "execute.run_parallel",
-        "execute.worker_steals",
+        "execute.worker_chunks",
         "schema.outcome",
     ] {
         assert!(seen.contains(expected), "missing `{expected}` in {seen:?}");
